@@ -54,6 +54,18 @@ class SchedulingError(TackerError):
     """The runtime kernel manager was driven into an invalid state."""
 
 
+class ParallelMapError(TackerError):
+    """An item of a parallel fan-out failed in a worker process.
+
+    ``index`` is the failing item's position in the input; the worker's
+    exception is chained as ``__cause__``.
+    """
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
 class AuditViolation(TackerError):
     """A runtime invariant check failed (see :mod:`repro.audit`).
 

@@ -27,7 +27,9 @@ from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from .. import audit, telemetry
 from ..config import gpu_preset
+from ..errors import ParallelMapError
 from ..gpusim import fastpath
+from ..runtime.oracle import STATS as oracle_stats
 from ..runtime.runconfig import DEFAULT_RUN_CONFIG, RunConfig
 from ..runtime.system import TackerSystem
 
@@ -175,14 +177,25 @@ def parallel_map(
     ``functools.partial`` of one).  Worker processes build their own
     systems; their freshly simulated durations are merged into this
     process's persistent store when the pool joins.
+
+    A worker failure does not throw away finished work: every item runs
+    to completion or failure, the finished items' store entries and
+    metrics deltas are merged as usual, and then :class:`ParallelMapError`
+    is raised naming the first failing item (the worker's exception is
+    its ``__cause__``).
     """
     items = list(items)
     n_workers = min(worker_count(workers), len(items))
     if n_workers <= 1:
         return [fn(item) for item in items]
-    payloads = [(fn, item) for item in items]
+    shipped, failures = [], []
     with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        shipped = list(pool.map(_invoke_task, payloads))
+        futures = [pool.submit(_invoke_task, (fn, item)) for item in items]
+        for index, future in enumerate(futures):
+            try:
+                shipped.append(future.result())
+            except Exception as exc:  # reported below, after the merge
+                failures.append((index, exc))
     _merge_store_snapshots(snapshot for _, snapshot, _ in shipped)
     # Metrics registries merge in submission order: counter/histogram
     # deltas add (commutative), gauges last-write-wins — the same final
@@ -191,6 +204,15 @@ def parallel_map(
     for _, _, metrics_delta in shipped:
         if metrics_delta:
             registry.merge_snapshot(metrics_delta)
+    if failures:
+        index, exc = failures[0]
+        raise ParallelMapError(
+            f"parallel_map item {index} of {len(items)} "
+            f"({repr(items[index])[:200]}) failed: "
+            f"{type(exc).__name__}: {exc} "
+            f"({len(failures)} of {len(items)} items failed)",
+            index=index,
+        ) from exc
     results = [result for result, _, _ in shipped]
     if audit.active():
         _audit_parallel_results(fn, items, results)
@@ -280,19 +302,18 @@ class PerfCounters:
 
 
 def perf_counters() -> PerfCounters:
-    """Current totals across all shared systems and the fast path."""
-    counters = PerfCounters(
+    """Current totals across every oracle of the process and the fast
+    path (shared systems and the fresh ones of scenario, cluster and
+    autoscale runs alike)."""
+    return PerfCounters(
+        oracle_hits=oracle_stats.hits,
+        oracle_misses=oracle_stats.misses,
+        oracle_persistent_hits=oracle_stats.persistent_hits,
         fastpath_fast=fastpath.STATS.fast,
         fastpath_engine=fastpath.STATS.engine,
         fastpath_by_shape=dict(fastpath.STATS.fast_by_shape),
         fastpath_rejects=dict(fastpath.STATS.rejects),
     )
-    for system in _SYSTEMS.values():
-        oracle = system.oracle
-        counters.oracle_hits += oracle.hits
-        counters.oracle_misses += oracle.misses
-        counters.oracle_persistent_hits += oracle.persistent_hits
-    return counters
 
 
 def publish_perf_metrics(registry=None) -> PerfCounters:

@@ -21,7 +21,9 @@ wait on each other.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..config import GPUConfig
 from ..errors import FusionError
@@ -96,6 +98,13 @@ class FusedKernel:
     cd_programs: tuple[WarpProgram, ...]
     source: KernelSource
 
+    @cached_property
+    def signature(self) -> str:
+        """Digest of the artifact's name and both component kernels —
+        the oracle's fused-record key, computed once per artifact."""
+        payload = f"{self.name}|{self.tc.ir.signature}|{self.cd.ir.signature}"
+        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
     @property
     def tc_workers(self) -> int:
         """GPU-wide persistent TC block copies."""
@@ -110,10 +119,18 @@ class FusedKernel:
 
         Each branch copy inside the simulated (worst-case) fused block
         receives its share of original blocks; the share multiplies the
-        copy's per-block iteration count.
+        copy's per-block iteration count.  One launch object per grid
+        pair is memoized on the artifact.
         """
         if tc_grid < 0 or cd_grid < 0:
             raise FusionError("grid sizes cannot be negative")
+        memo = self.__dict__.setdefault("_launches", {})
+        launch = memo.get((tc_grid, cd_grid))
+        if launch is None:
+            launch = memo[(tc_grid, cd_grid)] = self._launch(tc_grid, cd_grid)
+        return launch
+
+    def _launch(self, tc_grid: int, cd_grid: int) -> KernelLaunch:
         per_block_copies_tc = self.tc_copies
         per_block_copies_cd = self.cd_copies
         tc_shares = _assignments(tc_grid, self.tc_workers)[:per_block_copies_tc]

@@ -87,18 +87,23 @@ class PTBKernel:
         return self.source.name
 
     def launch(self, grid_blocks: Optional[int] = None) -> KernelLaunch:
-        """A PTB launch covering ``grid_blocks`` original blocks."""
+        """A PTB launch covering ``grid_blocks`` original blocks (one
+        memoized object per grid, like :meth:`KernelIR.launch`)."""
         grid = self.ir.default_grid if grid_blocks is None else grid_blocks
-        return KernelLaunch(
-            name=self.name,
-            kind=self.ir.kind,
-            resources=self.ir.resources,
-            grid_blocks=grid,
-            block_template={
-                "main": (self.ir.warp_program,) * self.ir.warps_per_block
-            },
-            persistent_blocks_per_sm=self.persistent_blocks_per_sm,
-        )
+        memo = self.__dict__.setdefault("_launches", {})
+        launch = memo.get(grid)
+        if launch is None:
+            launch = memo[grid] = KernelLaunch(
+                name=self.name,
+                kind=self.ir.kind,
+                resources=self.ir.resources,
+                grid_blocks=grid,
+                block_template={
+                    "main": (self.ir.warp_program,) * self.ir.warps_per_block
+                },
+                persistent_blocks_per_sm=self.persistent_blocks_per_sm,
+            )
+        return launch
 
 
 def profile_persistent_blocks(

@@ -24,8 +24,10 @@ Co-run policies model the co-running interfaces of Section VIII-G:
 
 from __future__ import annotations
 
+import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 from ..audit import core as audit
@@ -97,6 +99,20 @@ class KernelLaunch:
     def with_grid(self, grid_blocks: int) -> "KernelLaunch":
         """The same kernel on a different amount of work."""
         return replace(self, grid_blocks=grid_blocks)
+
+    @cached_property
+    def signature(self) -> str:
+        """Digest of the whole launch (template, grid, PTB form, all of it).
+
+        The launch is a tree of frozen dataclasses whose ``repr`` is
+        deterministic — including exact float reprs — so the digest
+        changes whenever anything the simulator reads changes.  It is
+        computed on first use and kept on the instance (outside the
+        fields, so equality, hashing and ``repr`` ignore it); ``with_grid``
+        and ``dataclasses.replace`` build new instances that digest
+        afresh.  The duration oracle keys launches by it.
+        """
+        return hashlib.sha256(repr(self).encode()).hexdigest()[:20]
 
 
 @dataclass
@@ -261,9 +277,9 @@ def _audit_occupancy(
 #: inside every co-run policy, repeated fusion-search probes, model
 #: training — and launches are frozen value objects whose results are
 #: never mutated, so identical launches can share one result.  Keys are
-#: value-complete reprs (the same property the oracle's persistent
-#: signatures rely on).  Bypassed under auditing so the sampled
-#: fastpath-vs-engine differential always sees live simulations.
+#: the GPU's repr plus the launch's value digest (the signature the
+#: oracle's persistent store keys by).  Bypassed under auditing so the
+#: sampled fastpath-vs-engine differential always sees live simulations.
 _RESULT_MEMO: OrderedDict[tuple[str, str], LaunchResult] = OrderedDict()
 _RESULT_MEMO_CAP = 4096
 
@@ -282,7 +298,7 @@ def simulate_launch(launch: KernelLaunch, gpu: GPUConfig) -> LaunchResult:
     """
     if audit.active():
         return _simulate_launch(launch, gpu)
-    key = (repr(gpu), repr(launch))
+    key = (repr(gpu), launch.signature)
     hit = _RESULT_MEMO.get(key)
     if hit is not None:
         _RESULT_MEMO.move_to_end(key)

@@ -14,7 +14,9 @@ to know about a kernel:
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 from ..errors import ConfigError
@@ -94,10 +96,19 @@ class KernelIR:
 
     # -- derived quantities --------------------------------------------------
 
-    @property
+    @cached_property
     def warp_program(self) -> WarpProgram:
-        """Per-warp program for one original block."""
+        """Per-warp program for one original block (one shared object)."""
         return WarpProgram(self.body, self.iters_per_block)
+
+    @cached_property
+    def signature(self) -> str:
+        """Digest of the whole kernel model, computed once per instance.
+
+        Like :attr:`KernelLaunch.signature` it is kept outside the
+        fields, so ``dataclasses.replace`` variants digest afresh.
+        """
+        return hashlib.sha256(repr(self).encode()).hexdigest()[:16]
 
     @property
     def compute_cycles_per_block(self) -> float:
@@ -140,17 +151,25 @@ class KernelIR:
         return max(1, round(self.default_grid * scale))
 
     def launch(self, grid_blocks: Optional[int] = None) -> KernelLaunch:
-        """A plain (non-PTB) launch of this kernel."""
+        """A plain (non-PTB) launch of this kernel.
+
+        One launch object per grid, memoized on the instance, so its
+        signature is digested once however often the grid recurs.
+        """
         grid = self.default_grid if grid_blocks is None else grid_blocks
-        return KernelLaunch(
-            name=self.name,
-            kind=self.kind,
-            resources=self.resources,
-            grid_blocks=grid,
-            block_template={
-                "main": (self.warp_program,) * self.warps_per_block
-            },
-        )
+        memo = self.__dict__.setdefault("_launches", {})
+        launch = memo.get(grid)
+        if launch is None:
+            launch = memo[grid] = KernelLaunch(
+                name=self.name,
+                kind=self.kind,
+                resources=self.resources,
+                grid_blocks=grid,
+                block_template={
+                    "main": (self.warp_program,) * self.warps_per_block
+                },
+            )
+        return launch
 
     def with_body(self, body: tuple[Segment, ...]) -> "KernelIR":
         return replace(self, body=body)

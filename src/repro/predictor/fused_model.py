@@ -59,6 +59,9 @@ class _Stage:
     def fit(self) -> None:
         self.line = LinearModel.fit(self.ratios, self.norm_durations)
 
+    def copy(self) -> "_Stage":
+        return _Stage(list(self.ratios), list(self.norm_durations), self.line)
+
 
 class FusedDurationModel:
     """Two-stage LR model of one fused kernel's duration.
@@ -89,6 +92,23 @@ class FusedDurationModel:
         self._inflection: Optional[float] = None
         #: number of online refits performed (for the overhead study)
         self.update_count = 0
+
+    def clone(
+        self,
+        tc_model: KernelDurationModel,
+        cd_model: KernelDurationModel,
+        oracle=None,
+    ) -> "FusedDurationModel":
+        """A private copy of the trained state over the given component
+        models; online refits of the copy leave this model untouched."""
+        twin = FusedDurationModel(
+            self.fused, tc_model, cd_model, noise=self.noise, oracle=oracle
+        )
+        twin._before = self._before.copy()
+        twin._after = self._after.copy()
+        twin._inflection = self._inflection
+        twin.update_count = self.update_count
+        return twin
 
     # -- profiling ------------------------------------------------------------
 

@@ -83,6 +83,13 @@ class KernelDurationModel:
             )
         return self._model
 
+    def clone(self, oracle=None) -> "KernelDurationModel":
+        """A private copy of the trained state, profiling through ``oracle``."""
+        twin = KernelDurationModel(self.kernel, noise=self.noise, oracle=oracle)
+        twin._model = self._model
+        twin._samples = list(self._samples)
+        return twin
+
     def measure(self, gpu: GPUConfig, grid: int) -> float:
         """One noisy profiling observation, in cycles."""
         launch = self.kernel.launch(grid)

@@ -157,6 +157,39 @@ class OnlineModelManager:
             self.total_training_ms += FUSED_MODEL_TRAIN_MS
         return model
 
+    def trained_pair(self, fused: FusedKernel) -> tuple:
+        """Detached copies of one fused pair's trained models — (TC
+        kernel model, CD kernel model, fused model), bound to no oracle —
+        for :meth:`adopt_pair` in other managers of the same GPU."""
+        pair = self.fused_model(fused)
+        tc_model = pair.tc_model.clone()
+        cd_model = pair.cd_model.clone()
+        return tc_model, cd_model, pair.clone(tc_model, cd_model)
+
+    def adopt_pair(self, fused: FusedKernel, trained: tuple) -> None:
+        """Install private copies of a pair's models from :meth:`trained_pair`.
+
+        The result is the state :meth:`fused_model` would have trained —
+        same coefficients, same modelled training cost — without the
+        profiling runs.  Kernel models this manager already holds are
+        kept (kernel models never change after training).
+        """
+        key = (fused.tc.ir.name, fused.cd.ir.name)
+        if key in self._fused_models:
+            return
+        tc_trained, cd_trained, pair = trained
+        for model in (tc_trained, cd_trained):
+            if model.kernel.name not in self._kernel_models:
+                self._kernel_models[model.kernel.name] = model.clone(
+                    self._oracle
+                )
+        self._fused_models[key] = pair.clone(
+            self._kernel_models[fused.tc.ir.name],
+            self._kernel_models[fused.cd.ir.name],
+            self._oracle,
+        )
+        self.total_training_ms += FUSED_MODEL_TRAIN_MS
+
     def predict_fused(
         self, fused: FusedKernel, xori_tc: float, xori_cd: float
     ) -> float:

@@ -492,6 +492,12 @@ class _SlowOracle:
             self._oracle.fused(fused, tc_grid, cd_grid), self.factor
         )
 
+    def corun_policy(self, policy, a, b, **params):
+        """Zoo co-runs (hfused, spatial) slow down like every launch."""
+        return _SlowCorun(
+            self._oracle.corun_policy(policy, a, b, **params), self.factor
+        )
+
     def __getattr__(self, name):
         return getattr(self._oracle, name)
 

@@ -25,6 +25,7 @@ import hashlib
 import json
 import os
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
@@ -53,33 +54,28 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 CACHE_ENV = "REPRO_ORACLE_CACHE"
 
 
-def _fingerprint(gpu: GPUConfig) -> str:
+def gpu_fingerprint(gpu: GPUConfig) -> str:
     """Stable digest of everything the simulator reads from the config."""
     payload = f"schema={STORE_SCHEMA}|{gpu!r}"
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _kernel_signature(kernel: KernelIR) -> str:
-    """Digest of the launch shape: changing the kernel changes the key."""
-    return hashlib.sha256(repr(kernel).encode()).hexdigest()[:16]
+@dataclass
+class OracleStats:
+    """Lookup totals over every oracle of the process.
 
-
-def _launch_signature(launch: KernelLaunch) -> str:
-    """Digest of one concrete launch (template, grid, PTB form, all of it).
-
-    ``KernelLaunch`` is a tree of frozen dataclasses whose ``repr`` is
-    deterministic — including exact float reprs — so the digest changes
-    whenever anything the simulator reads changes.
+    Each oracle keeps its own counters; this module-level tally (like
+    ``fastpath.STATS``) also counts oracles that no shared system owns
+    — the fresh systems of scenario, cluster and autoscale runs — so
+    ``--perf`` reports every lookup the process made.
     """
-    return hashlib.sha256(repr(launch).encode()).hexdigest()[:20]
+
+    hits: int = 0
+    misses: int = 0
+    persistent_hits: int = 0
 
 
-def _fused_signature(fused: FusedKernel) -> str:
-    payload = (
-        f"{fused.name}|{_kernel_signature(fused.tc.ir)}"
-        f"|{_kernel_signature(fused.cd.ir)}"
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+STATS = OracleStats()
 
 
 def persistence_enabled() -> bool:
@@ -126,7 +122,7 @@ class OracleStore:
         base = Path(directory) if directory else default_cache_dir()
         if base is None:
             return None
-        return cls(base / f"oracle-{_fingerprint(gpu)}.json")
+        return cls(base / f"oracle-{gpu_fingerprint(gpu)}.json")
 
     def load(self) -> None:
         """Read the store; a missing or corrupted file starts empty."""
@@ -227,7 +223,7 @@ class DurationOracle:
     def _signature(self, kernel: KernelIR) -> str:
         sig = self._signatures.get(kernel.name)
         if sig is None:
-            sig = _kernel_signature(kernel)
+            sig = kernel.signature
             self._signatures[kernel.name] = sig
         return sig
 
@@ -238,7 +234,7 @@ class DurationOracle:
         self, fused: FusedKernel, flavor: str, tc_grid: int, cd_grid: int
     ) -> str:
         return (
-            f"{fused.name}|{_fused_signature(fused)}|{flavor}"
+            f"{fused.name}|{fused.signature}|{flavor}"
             f"|{tc_grid}|{cd_grid}"
         )
 
@@ -251,18 +247,21 @@ class DurationOracle:
         candidates and model-training sweeps all reduce to it, so their
         simulations persist across processes like everything else.
         """
-        key = _launch_signature(launch)
+        key = launch.signature
         cached = self._launches.get(key)
         if cached is not None:
             self.hits += 1
+            STATS.hits += 1
             return cached
         if self.store is not None:
             persisted = self.store.solo.get(f"launch|{key}")
             if persisted is not None:
                 self.persistent_hits += 1
+                STATS.persistent_hits += 1
                 self._launches[key] = persisted
                 return persisted
         self.misses += 1
+        STATS.misses += 1
         cycles = simulate_launch(launch, self.gpu).duration_cycles
         self._launches[key] = cycles
         if self.store is not None:
@@ -281,15 +280,18 @@ class DurationOracle:
         cached = self._solo_cycles.get(key)
         if cached is not None:
             self.hits += 1
+            STATS.hits += 1
             return cached
         if self.store is not None:
             store_key = self._solo_store_key(kernel, grid)
             persisted = self.store.solo.get(store_key)
             if persisted is not None:
                 self.persistent_hits += 1
+                STATS.persistent_hits += 1
                 self._solo_cycles[key] = persisted
                 return persisted
         self.misses += 1
+        STATS.misses += 1
         result = simulate_launch(kernel.launch(grid), self.gpu)
         cycles = result.duration_cycles
         self._solo_cycles[key] = cycles
@@ -322,6 +324,7 @@ class DurationOracle:
         cached = self._fused.get(key)
         if cached is not None:
             self.hits += 1
+            STATS.hits += 1
             return cached
         if self.store is not None:
             store_key = self._fused_store_key(
@@ -330,6 +333,7 @@ class DurationOracle:
             persisted = self.store.fused.get(store_key)
             if persisted is not None and len(persisted) == 5:
                 self.persistent_hits += 1
+                STATS.persistent_hits += 1
                 result = CoRunResult(
                     policy="fused",
                     duration_cycles=persisted[0],
@@ -341,6 +345,7 @@ class DurationOracle:
                 self._fused[key] = result
                 return result
         self.misses += 1
+        STATS.misses += 1
         result = corun_fused_launch(
             fused.launch(tc_grid, cd_grid), self.gpu,
             solo_tc(), solo_cd(),
@@ -422,16 +427,18 @@ class DurationOracle:
         if policy not in self._POLICIES:
             raise KeyError(f"unknown co-run policy {policy!r}")
         extra = repr(sorted(params.items()))
-        key = (policy, _launch_signature(a), _launch_signature(b), extra)
+        key = (policy, a.signature, b.signature, extra)
         cached = self._fused.get(key)
         if cached is not None:
             self.hits += 1
+            STATS.hits += 1
             return cached
         store_key = f"corun|{policy}|{key[1]}|{key[2]}|{extra}"
         if self.store is not None:
             persisted = self.store.fused.get(store_key)
             if persisted is not None and len(persisted) == 5:
                 self.persistent_hits += 1
+                STATS.persistent_hits += 1
                 result = CoRunResult(
                     policy=policy,
                     duration_cycles=persisted[0],
@@ -443,6 +450,7 @@ class DurationOracle:
                 self._fused[key] = result
                 return result
         self.misses += 1
+        STATS.misses += 1
         result = self._POLICIES[policy](a, b, self.gpu, **params)
         self._fused[key] = result
         if self.store is not None:

@@ -217,6 +217,28 @@ class TestRunAutoscale:
         assert "scaler static" in out
         assert "fleet:" in out and "node-s" in out
 
+    def test_perf_counts_every_oracle(self, capsys, monkeypatch):
+        """Node-epoch systems are not shared systems, yet --perf
+        counts their oracle lookups."""
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        code = main([
+            "--perf", "run-autoscale", "diurnal", "--scaler", "static",
+            "--rate-nodes", "2", "--span-ms", "4000",
+            "--epoch-ms", "2000",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        perf = dict(
+            line.strip().split(" = ")
+            for line in out.split("\nperf:", 1)[1].splitlines()[1:]
+            if " = " in line
+        )
+        lookups = sum(
+            int(perf.get(key, 0)) for key in
+            ("oracle_hits", "oracle_misses", "oracle_persistent_hits")
+        )
+        assert lookups > 0
+
     def test_crash_flag(self, capsys):
         code = main([
             "run-autoscale", "diurnal", "--scaler", "static",

@@ -306,6 +306,29 @@ class TestParallelSweeps:
 
         assert parallel_map(str.upper, ["a", "b"], workers=1) == ["A", "B"]
 
+    def test_parallel_map_failure_keeps_finished_work(
+        self, tmp_path, monkeypatch
+    ):
+        """One failing item still lets every finished item's simulations
+        reach the parent's store, then names the failing item."""
+        from repro.errors import ParallelMapError
+        from repro.experiments import common
+
+        common.reset_systems()
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        try:
+            store = common.get_system("rtx2080ti").oracle.store
+            grids = [101, 102, 103, 104]
+            with pytest.raises(ParallelMapError, match="item 2 of 4") as info:
+                common.parallel_map(_simulate_or_fail, grids, workers=2)
+            assert info.value.index == 2
+            assert isinstance(info.value.__cause__, ValueError)
+            stored = {key.rsplit("|", 1)[1] for key in store.solo
+                      if key.startswith("mriq|")}
+            assert stored == {"101", "102", "104"}
+        finally:
+            common.reset_systems()
+
     def test_parallel_fig14_identical_to_serial(self):
         """The acceptance bar: a parallel sweep is byte-identical to a
         serial one — same outcomes, same formatted table."""
@@ -325,3 +348,13 @@ class TestParallelSweeps:
             headers, serial.rows()
         )
         assert parallel.summary() == serial.summary()
+
+
+def _simulate_or_fail(grid):
+    """parallel_map item: one fresh mriq simulation, except grid 103."""
+    from repro.experiments import common
+
+    if grid == 103:
+        raise ValueError("injected failure")
+    system = common.get_system("rtx2080ti")
+    return system.oracle.solo_cycles(system.library.get("mriq"), grid)
