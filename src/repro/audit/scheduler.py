@@ -18,7 +18,7 @@ soon as the two diverge.  The invariants:
 * **be-work-conservation** — BE work credited to the result equals the
   sum of solo durations of BE kernels retired inside the horizon;
 * **kernel-count-conservation** — every executed kernel is counted in
-  exactly one of the lc/be/fused counters;
+  exactly one of the per-kind launch counters;
 * **guard-ladder** — degradation transitions are adjacent (fuse ↔
   reorder ↔ exclusive, never a skip) and each recorded transition
   respected its risk rail, including the hysteresis band.
@@ -165,13 +165,7 @@ class ServerAuditor:
                 "of retired BE kernel durations",
                 app=app_name, credited_ms=credited, expected_ms=expected,
             )
-        counted = (
-            result.n_lc_kernels + result.n_be_kernels
-            + result.n_fused_kernels
-            + getattr(result, "n_hfused_kernels", 0)
-            + getattr(result, "n_spatial_kernels", 0)
-            + getattr(result, "n_chain_kernels", 0)
-        )
+        counted = sum(result.kernel_counts().values())
         core.ensure(
             counted == self._kernels_seen,
             "kernel-count-conservation",

@@ -455,53 +455,6 @@ class EpochNodeStats:
         return self.pred_ratio_sum / self.pred_ratio_n
 
 
-class _SlowCorun:
-    """A co-run estimate with its durations on a degraded clock."""
-
-    def __init__(self, corun, factor: float):
-        self._corun = corun
-        self.duration_cycles = corun.duration_cycles * factor
-        self.finish_a_cycles = corun.finish_a_cycles * factor
-        self.finish_b_cycles = corun.finish_b_cycles * factor
-
-    def __getattr__(self, name):
-        return getattr(self._corun, name)
-
-
-class _SlowOracle:
-    """Actual durations of a silently degraded node.
-
-    Wraps only the *server's* oracle — the policy's predictor keeps
-    consulting healthy durations, which is exactly the failure mode a
-    slow node presents: the dispatcher and the admission policy both
-    believe the node is fine while every kernel takes ``factor`` times
-    longer.  BE work credit follows the degraded clock too (each
-    retired kernel credits its scaled solo time), so the distortion
-    stays confined to the faulted node.
-    """
-
-    def __init__(self, oracle, factor: float):
-        self._oracle = oracle
-        self.factor = factor
-
-    def solo_ms(self, kernel, grid) -> float:
-        return self._oracle.solo_ms(kernel, grid) * self.factor
-
-    def fused(self, fused, tc_grid, cd_grid):
-        return _SlowCorun(
-            self._oracle.fused(fused, tc_grid, cd_grid), self.factor
-        )
-
-    def corun_policy(self, policy, a, b, **params):
-        """Zoo co-runs (hfused, spatial) slow down like every launch."""
-        return _SlowCorun(
-            self._oracle.corun_policy(policy, a, b, **params), self.factor
-        )
-
-    def __getattr__(self, name):
-        return getattr(self._oracle, name)
-
-
 class _PredictionTap:
     """A minimal server monitor that only folds prediction overruns.
 
@@ -561,13 +514,11 @@ def run_epoch_node(spec: EpochNodeSpec) -> EpochNodeStats:
     }
     policy = system.make_policy(spec.policy, guard=spec.guard)
     injector = make_injector(spec.faults) if spec.faults is not None else None
-    oracle = system.oracle
-    if spec.slow_factor != 1.0:
-        oracle = _SlowOracle(system.oracle, spec.slow_factor)
     tap = _PredictionTap()
     server = ColocationServer(
-        system.gpu, oracle=oracle, policy=policy,
-        config=spec.run, faults=injector, record_kernels=False,
+        system.gpu, oracle=system.oracle, policy=policy,
+        config=spec.run, slow_factor=spec.slow_factor,
+        faults=injector, record_kernels=False,
         monitor=tap,
         metric_labels={"node": spec.name, "epoch": str(spec.epoch)},
     )

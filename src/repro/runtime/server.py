@@ -17,7 +17,7 @@ import numpy as np
 
 from .. import audit, telemetry
 from ..config import GPUConfig
-from ..errors import SchedulingError
+from ..errors import ConfigError, SchedulingError
 from ..gpusim.trace import Timeline
 from ..telemetry import RunTelemetry
 from ..telemetry.slo import SLOMonitor
@@ -25,7 +25,12 @@ from .faults import FaultInjector
 from .oracle import DurationOracle
 from .policies import Action, SchedulerPolicy
 from .query import BEApplication, Query
-from .runconfig import DEFAULT_RUN_CONFIG, RunConfig, warn_legacy_knobs
+from .runconfig import DEFAULT_RUN_CONFIG, RunConfig
+
+#: Every launch kind the server executes; ``ServerResult`` counts each
+#: in its ``n_<kind>_kernels`` field.
+LAUNCH_KINDS = ("lc", "be", "fused", "hfused", "spatial", "chain")
+_COUNTERS = {kind: f"n_{kind}_kernels" for kind in LAUNCH_KINDS}
 
 
 @dataclass
@@ -83,6 +88,10 @@ class ServerResult:
     telemetry: Optional[RunTelemetry] = None
     #: fired SLO alerts, as plain dicts ([] when no monitor attached)
     alerts: list = field(default_factory=list)
+
+    def kernel_counts(self) -> dict[str, int]:
+        """Executed launches per kind, in :data:`LAUNCH_KINDS` order."""
+        return {kind: getattr(self, _COUNTERS[kind]) for kind in LAUNCH_KINDS}
 
     def p99_by_model(self) -> dict[str, float]:
         """99th-percentile latency per LC service."""
@@ -178,7 +187,7 @@ class ColocationServer:
         oracle: DurationOracle,
         policy: SchedulerPolicy,
         config: Optional[RunConfig] = None,
-        qos_ms: Optional[float] = None,
+        slow_factor: float = 1.0,
         record_kernels: bool = False,
         faults: Optional[FaultInjector] = None,
         audit_run: Optional[bool] = None,
@@ -186,15 +195,18 @@ class ColocationServer:
         monitor: Optional[SLOMonitor] = None,
         metric_labels: Optional[dict] = None,
     ):
-        if qos_ms is not None:
-            warn_legacy_knobs("ColocationServer", ("qos_ms",))
-        self.config = (config or DEFAULT_RUN_CONFIG).with_overrides(
-            qos_ms=qos_ms
-        )
+        if not slow_factor > 0:
+            raise ConfigError(f"slow_factor must be positive: {slow_factor}")
+        self.config = config or DEFAULT_RUN_CONFIG
         self.gpu = gpu
         self.oracle = oracle
         self.policy = policy
         self.qos_ms = self.config.qos_ms
+        #: actual-duration multiplier of a silently degraded node: every
+        #: served duration (solo, co-run, and the ground-truth admission
+        #: accounting) runs this many times longer, while the policy's
+        #: predictor keeps believing healthy durations
+        self.slow_factor = slow_factor
         self.record_kernels = record_kernels
         #: injected faults for this run (None = the paper's happy path)
         self.faults = faults
@@ -337,7 +349,9 @@ class ColocationServer:
                 self._auditor.on_action(now, action, active)
             if start_ms is None:
                 start_ms = now
-            now = self._execute(action, now, active, result)
+            now = self._commit(
+                action, now, active, result, self._price(action, now)
+            )
 
             if not active and next_query is None:
                 if not saw_query and now < horizon_ms:
@@ -366,10 +380,7 @@ class ColocationServer:
 
     def _true_remaining_ms(self, query: Query) -> float:
         """Ground-truth GPU time of a query's unexecuted kernels."""
-        return sum(
-            self.oracle.solo_ms(inst.kernel, inst.grid)
-            for inst in query.remaining
-        )
+        return sum(self._solo_ms(inst) for inst in query.remaining)
 
     def true_headroom_ms(self, now: float, active: list[Query]) -> float:
         """Eq. 9 headroom computed from *actual* durations, not predictions.
@@ -430,28 +441,202 @@ class ColocationServer:
             predicted_lc_ms=self.policy.predict_ms(query.current),
         )
 
-    # -- execution ------------------------------------------------------------
+    # -- the launch path ------------------------------------------------------
+    #
+    # Every launch goes through two steps: ``_price`` turns the action
+    # into what the launch runs (the only kind-specific code), and
+    # ``_commit`` applies one set of timing, fault and accounting rules.
 
-    def _execute(
+    def _solo_ms(self, instance) -> float:
+        """Served solo duration of one kernel instance on this node."""
+        return (
+            self.oracle.solo_ms(instance.kernel, instance.grid)
+            * self.slow_factor
+        )
+
+    def _corun_ms(self, cycles: float) -> float:
+        """Served wall time of a profiled co-run's cycle count."""
+        return self.gpu.cycles_to_ms(cycles * self.slow_factor)
+
+    def _price(self, action: Action, now: float) -> tuple:
+        """What a launch starting at ``now`` runs.
+
+        Returns ``(name, duration, end, tc_end, cd_end, lc_end,
+        predicted, parts, observed)``: the served duration and end, the
+        TC and CD pipe ends, when the LC kernel completes (``None``: at
+        the launch end), the prediction covering the whole launch, the
+        BE ``parts`` it retires as ``(stream, solo ms, finish offset
+        from now)`` in retire order, and for ``fused`` only the online
+        fused model's observation of the co-run (``observe_fused``
+        arguments).  Co-run durations replay the oracle record the
+        policy priced at decision time.
+        """
+        kind = action.kind
+        if kind == "lc" or kind == "be":
+            lc = kind == "lc"
+            instance = action.query.current if lc else action.be_app.head
+            duration = self._solo_ms(instance)
+            end = now + duration
+            tc = instance.kind == "tc"
+            return (
+                instance.name, duration, end,
+                end if tc else now, now if tc else end, None,
+                action.predicted_lc_ms if lc else action.predicted_be_ms,
+                () if lc else ((action.be_app, duration, duration),),
+                None,
+            )
+        if kind == "fused" or kind == "chain":
+            app, fused = action.be_app, action.fused
+            lc_instance, be_instance = action.query.current, app.head
+            lc_is_tc = lc_instance.kind == "tc"
+            if lc_is_tc:
+                tc_grid, cd_grid = lc_instance.grid, be_instance.grid
+            else:
+                tc_grid, cd_grid = be_instance.grid, lc_instance.grid
+            corun = self.oracle.fused(fused, tc_grid, cd_grid)
+            tc_offset = self._corun_ms(corun.finish_a_cycles)
+            cd_offset = self._corun_ms(corun.finish_b_cycles)
+            duration = self._corun_ms(corun.duration_cycles)
+            end = now + duration
+            tc_end, cd_end = now + tc_offset, now + cd_offset
+            be_offset = cd_offset if lc_is_tc else tc_offset
+            if kind == "fused":
+                to_cycles = self.gpu.ms_to_cycles
+                lc_cycles = to_cycles(action.predicted_lc_ms)
+                be_cycles = to_cycles(action.predicted_be_ms)
+                observed = (
+                    fused,
+                    lc_cycles if lc_is_tc else be_cycles,
+                    be_cycles if lc_is_tc else lc_cycles,
+                    corun.duration_cycles * self.slow_factor,
+                )
+                parts = ((app, self._solo_ms(be_instance), be_offset),)
+                return (fused.name, duration, end, tc_end, cd_end, None,
+                        action.predicted_fused_ms, parts, observed)
+            # CD riders extend the CD pipe behind the pair's CD half,
+            # exactly as the policy priced them.  The online fused model
+            # is not trained on chain makespans: they would bias the
+            # pair model the Eq. 8 gate relies on.
+            riders = []
+            for rider in action.riders:
+                solo = self._solo_ms(rider.head)
+                cd_end += solo
+                end = max(end, cd_end)
+                riders.append((rider, solo, cd_end - now))
+            name = "+".join(
+                [fused.name] + [rider.head.name for rider in action.riders]
+            )
+            parts = ((app, self._solo_ms(be_instance), be_offset), *riders)
+            return (name, end - now, end, tc_end, cd_end, None,
+                    action.predicted_fused_ms, parts, None)
+        if kind == "hfused" or kind == "spatial":
+            policy_name, launch_a, launch_b, params = action.corun
+            corun = self.oracle.corun_policy(
+                policy_name, launch_a, launch_b, **dict(params)
+            )
+            duration = self._corun_ms(corun.duration_cycles)
+            offset_a = self._corun_ms(corun.finish_a_cycles)
+            offset_b = self._corun_ms(corun.finish_b_cycles)
+            end = now + duration
+            finish_a, finish_b = now + offset_a, now + offset_b
+            if kind == "hfused":
+                app_a, app_b = action.be_app, action.be_app2
+                inst_a, inst_b = app_a.head, app_b.head
+                name = f"{inst_a.name}+{inst_b.name}"
+                lc_end = None
+                parts = ((app_a, self._solo_ms(inst_a), offset_a),
+                         (app_b, self._solo_ms(inst_b), offset_b))
+            else:
+                # The LC kernel finishes at its own partition's finish
+                # time; the GPU stays busy until the longer one drains.
+                app = action.be_app
+                inst_a, inst_b = action.query.current, app.head
+                name = f"{inst_a.name}|{inst_b.name}"
+                lc_end = finish_a
+                parts = ((app, self._solo_ms(inst_b), offset_b),)
+            tc_end = cd_end = now
+            for instance, finish in ((inst_a, finish_a), (inst_b, finish_b)):
+                if instance.kind == "tc":
+                    tc_end = max(tc_end, finish)
+                else:
+                    cd_end = max(cd_end, finish)
+            return (name, duration, end, tc_end, cd_end, lc_end,
+                    action.predicted_fused_ms, parts, None)
+        raise SchedulingError(f"unknown action kind {action.kind!r}")
+
+    def _commit(
         self,
         action: Action,
         now: float,
         active: list[Query],
         result: ServerResult,
+        priced: tuple,
     ) -> float:
-        if action.kind == "lc":
-            return self._run_lc(action, now, active, result)
-        if action.kind == "be":
-            return self._run_be(action, now, result)
-        if action.kind == "fused":
-            return self._run_fused(action, now, active, result)
-        if action.kind == "hfused":
-            return self._run_hfused(action, now, result)
-        if action.kind == "spatial":
-            return self._run_spatial(action, now, active, result)
-        if action.kind == "chain":
-            return self._run_chain(action, now, active, result)
-        raise SchedulingError(f"unknown action kind {action.kind!r}")
+        """Run one priced launch; returns when the GPU frees up.
+
+        One set of rules for every kind: a BE completion fault hits a
+        BE part (a drop leaves its head un-retired, a delay stretches
+        its finish and, if later, the launch end); then the launch is
+        recorded and audited, counted, reported to the policy and the
+        monitor, its surviving BE heads retire and its query advances.
+        """
+        (name, duration, end, tc_end, cd_end, lc_end, predicted, parts,
+         observed) = priced
+        kind = action.kind
+        query = action.query
+        if (self._telemetry is not None and query is not None
+                and query.cursor == 0):
+            self._telemetry.note_first_launch(query.qid, now)
+        faults = ()
+        if self.faults is not None and kind == "be":
+            retired, faults = [], []
+            for part in parts:
+                app, _, offset = part
+                actual, dropped = self.faults.be_outcome(offset)
+                if dropped:
+                    result.n_dropped_be += 1
+                    faults.append(("be_drop", app.head.name))
+                else:
+                    retired.append(part)
+                if actual > offset:
+                    result.n_delayed_be += 1
+                    faults.append(("be_delay", app.head.name))
+                    finish = now + actual
+                    if app.head.kind == "tc":
+                        tc_end = max(tc_end, finish)
+                    else:
+                        cd_end = max(cd_end, finish)
+                    if actual > duration:
+                        duration, end = actual, finish
+            parts = retired
+        service = (
+            query.model.name if query is not None else action.be_app.name
+        )
+        if self._auditor is not None:
+            self._auditor.on_kernel(now, end, kind, name)
+        result.note_kernel(now, end, kind, name, tc_end, cd_end, service,
+                           self.record_kernels)
+        counter = _COUNTERS[kind]
+        setattr(result, counter, getattr(result, counter) + 1)
+        self.policy.note_outcome(kind, name, predicted, duration)
+        if self.monitor is not None:
+            self.monitor.note_outcome(kind, name, predicted, duration, end)
+            self._sync_guard(end)
+            for fault, part_name in faults:
+                self.monitor.note_fault(fault, end, name=part_name)
+        if observed is not None:
+            # Online model maintenance (Section VI-C).
+            self.policy.models.observe_fused(*observed)
+        for app, solo, _ in parts:
+            app.complete_head(solo)
+            if self._auditor is not None:
+                self._auditor.on_be_retired(app.name, solo, end)
+            result.note_be_credit(app.name, solo, end)
+        if query is not None:
+            self._finish_query_kernel(
+                query, end if lc_end is None else lc_end, active, result
+            )
+        return end
 
     def _finish_query_kernel(
         self, query: Query, end: float, active: list[Query],
@@ -475,16 +660,6 @@ class ColocationServer:
                 )
                 self._sync_guard(end)
 
-    def _note_outcome(
-        self, kind: str, name: str, predicted: float, actual: float,
-        end: float,
-    ) -> None:
-        """Feed one launch outcome to the policy and the SLO monitor."""
-        self.policy.note_outcome(kind, name, predicted, actual)
-        if self.monitor is not None:
-            self.monitor.note_outcome(kind, name, predicted, actual, end)
-            self._sync_guard(end)
-
     def _sync_guard(self, now: float) -> None:
         """Forward any new guard-ladder transitions to the monitor."""
         guard = self.policy.guard
@@ -498,246 +673,3 @@ class ColocationServer:
             risk = risks[index] if index < len(risks) else 0.0
             self.monitor.note_guard(now, old_mode, new_mode, risk)
             self._guard_seen += 1
-
-    def _record(self, result: ServerResult, start: float, end: float,
-                kind: str, name: str, tc_end: float, cd_end: float,
-                service: str = "") -> None:
-        if self._auditor is not None:
-            self._auditor.on_kernel(start, end, kind, name)
-        result.note_kernel(start, end, kind, name, tc_end, cd_end, service,
-                           self.record_kernels)
-
-    def _run_lc(self, action, now, active, result) -> float:
-        query = action.query
-        instance = query.current
-        if self._telemetry is not None and query.cursor == 0:
-            self._telemetry.note_first_launch(query.qid, now)
-        duration = self.oracle.solo_ms(instance.kernel, instance.grid)
-        end = now + duration
-        tc_end = end if instance.kind == "tc" else now
-        cd_end = end if instance.kind == "cd" else now
-        self._record(result, now, end, "lc", instance.name, tc_end, cd_end,
-                     query.model.name)
-        result.n_lc_kernels += 1
-        self._note_outcome(
-            "lc", instance.name, action.predicted_lc_ms, duration, end
-        )
-        self._finish_query_kernel(query, end, active, result)
-        return end
-
-    def _run_be(self, action, now, result) -> float:
-        app = action.be_app
-        instance = app.head
-        solo = self.oracle.solo_ms(instance.kernel, instance.grid)
-        duration = solo
-        dropped = False
-        if self.faults is not None:
-            duration, dropped = self.faults.be_outcome(solo)
-            if dropped:
-                result.n_dropped_be += 1
-            if duration > solo:
-                result.n_delayed_be += 1
-        end = now + duration
-        tc_end = end if instance.kind == "tc" else now
-        cd_end = end if instance.kind == "cd" else now
-        self._record(result, now, end, "be", instance.name, tc_end, cd_end,
-                     app.name)
-        result.n_be_kernels += 1
-        self._note_outcome(
-            "be", instance.name, action.predicted_be_ms, duration, end
-        )
-        if self.monitor is not None:
-            if dropped:
-                self.monitor.note_fault("be_drop", end, name=instance.name)
-            if duration > solo:
-                self.monitor.note_fault("be_delay", end, name=instance.name)
-        if dropped:
-            # The launch failed at completion: its GPU time is burned,
-            # no work retires, and the stream must relaunch the kernel.
-            return end
-        app.complete_head(solo)
-        if self._auditor is not None:
-            self._auditor.on_be_retired(app.name, solo, end)
-        result.note_be_credit(app.name, solo, end)
-        return end
-
-    def _run_fused(self, action, now, active, result) -> float:
-        query = action.query
-        app = action.be_app
-        fused = action.fused
-        lc_instance = query.current
-        be_instance = app.head
-        if self._telemetry is not None and query.cursor == 0:
-            self._telemetry.note_first_launch(query.qid, now)
-        if lc_instance.kind == "tc":
-            tc_grid, cd_grid = lc_instance.grid, be_instance.grid
-        else:
-            tc_grid, cd_grid = be_instance.grid, lc_instance.grid
-        corun = self.oracle.fused(fused, tc_grid, cd_grid)
-        duration = self.gpu.cycles_to_ms(corun.duration_cycles)
-        end = now + duration
-        tc_end = now + self.gpu.cycles_to_ms(corun.finish_a_cycles)
-        cd_end = now + self.gpu.cycles_to_ms(corun.finish_b_cycles)
-        self._record(result, now, end, "fused", fused.name, tc_end, cd_end,
-                     query.model.name)
-        result.n_fused_kernels += 1
-        self._note_outcome(
-            "fused", fused.name, action.predicted_fused_ms, duration, end
-        )
-
-        # Online model maintenance (Section VI-C).
-        self.policy.models.observe_fused(
-            fused,
-            self.gpu.ms_to_cycles(
-                action.predicted_lc_ms
-                if lc_instance.kind == "tc"
-                else action.predicted_be_ms
-            ),
-            self.gpu.ms_to_cycles(
-                action.predicted_be_ms
-                if lc_instance.kind == "tc"
-                else action.predicted_lc_ms
-            ),
-            corun.duration_cycles,
-        )
-
-        be_solo = self.oracle.solo_ms(be_instance.kernel, be_instance.grid)
-        app.complete_head(be_solo)
-        if self._auditor is not None:
-            self._auditor.on_be_retired(app.name, be_solo, end)
-        result.note_be_credit(app.name, be_solo, end)
-        self._finish_query_kernel(query, end, active, result)
-        return end
-
-    def _retire_be_head(self, app, result, end: float) -> None:
-        """Retire one BE stream's head, crediting its solo work."""
-        instance = app.head
-        solo = self.oracle.solo_ms(instance.kernel, instance.grid)
-        app.complete_head(solo)
-        if self._auditor is not None:
-            self._auditor.on_be_retired(app.name, solo, end)
-        result.note_be_credit(app.name, solo, end)
-
-    def _corun_profile(self, action: Action):
-        """Replay the profiled co-run recipe a zoo action carries.
-
-        The oracle memoizes (and persists) the record, so this is the
-        same table lookup the policy made at decision time — predicted
-        and served durations agree by construction.
-        """
-        policy_name, launch_a, launch_b, params = action.corun
-        return self.oracle.corun_policy(
-            policy_name, launch_a, launch_b, **dict(params)
-        )
-
-    def _run_hfused(self, action, now, result) -> float:
-        """One launch horizontally fusing two BE streams' heads."""
-        app_a, app_b = action.be_app, action.be_app2
-        inst_a, inst_b = app_a.head, app_b.head
-        corun = self._corun_profile(action)
-        duration = self.gpu.cycles_to_ms(corun.duration_cycles)
-        end = now + duration
-        finish_a = now + self.gpu.cycles_to_ms(corun.finish_a_cycles)
-        finish_b = now + self.gpu.cycles_to_ms(corun.finish_b_cycles)
-        tc_end = max(
-            [now]
-            + [f for inst, f in ((inst_a, finish_a), (inst_b, finish_b))
-               if inst.kind == "tc"]
-        )
-        cd_end = max(
-            [now]
-            + [f for inst, f in ((inst_a, finish_a), (inst_b, finish_b))
-               if inst.kind == "cd"]
-        )
-        name = f"{inst_a.name}+{inst_b.name}"
-        self._record(result, now, end, "hfused", name, tc_end, cd_end,
-                     app_a.name)
-        result.n_hfused_kernels += 1
-        self._note_outcome(
-            "hfused", name, action.predicted_fused_ms, duration, end
-        )
-        self._retire_be_head(app_a, result, end)
-        self._retire_be_head(app_b, result, end)
-        return end
-
-    def _run_spatial(self, action, now, active, result) -> float:
-        """The LC kernel and a BE head on disjoint SM partitions."""
-        query = action.query
-        app = action.be_app
-        lc_instance = query.current
-        be_instance = app.head
-        if self._telemetry is not None and query.cursor == 0:
-            self._telemetry.note_first_launch(query.qid, now)
-        corun = self._corun_profile(action)
-        duration = self.gpu.cycles_to_ms(corun.duration_cycles)
-        end = now + duration
-        lc_end = now + self.gpu.cycles_to_ms(corun.finish_a_cycles)
-        be_end = now + self.gpu.cycles_to_ms(corun.finish_b_cycles)
-        tc_end = max(
-            [now]
-            + [f for inst, f in ((lc_instance, lc_end), (be_instance, be_end))
-               if inst.kind == "tc"]
-        )
-        cd_end = max(
-            [now]
-            + [f for inst, f in ((lc_instance, lc_end), (be_instance, be_end))
-               if inst.kind == "cd"]
-        )
-        name = f"{lc_instance.name}|{be_instance.name}"
-        self._record(result, now, end, "spatial", name, tc_end, cd_end,
-                     query.model.name)
-        result.n_spatial_kernels += 1
-        self._note_outcome(
-            "spatial", name, action.predicted_fused_ms, duration, end
-        )
-        self._retire_be_head(app, result, end)
-        # The LC kernel finishes at its own partition's finish time,
-        # though the GPU stays busy until the longer partition drains.
-        self._finish_query_kernel(query, lc_end, active, result)
-        return end
-
-    def _run_chain(self, action, now, active, result) -> float:
-        """A fused pair extended with CD riders (>2-kernel chain).
-
-        The pair's co-run comes from the fused-launch oracle record;
-        each rider's solo time extends the CD pipe behind the pair's CD
-        half, exactly as the policy priced it.  The online fused model
-        is *not* trained on chain makespans — they would bias the pair
-        model the Eq. 8 gate relies on.
-        """
-        query = action.query
-        app = action.be_app
-        fused = action.fused
-        lc_instance = query.current
-        be_instance = app.head
-        if self._telemetry is not None and query.cursor == 0:
-            self._telemetry.note_first_launch(query.qid, now)
-        if lc_instance.kind == "tc":
-            tc_grid, cd_grid = lc_instance.grid, be_instance.grid
-        else:
-            tc_grid, cd_grid = be_instance.grid, lc_instance.grid
-        corun = self.oracle.fused(fused, tc_grid, cd_grid)
-        tc_end = now + self.gpu.cycles_to_ms(corun.finish_a_cycles)
-        cd_end = now + self.gpu.cycles_to_ms(corun.finish_b_cycles)
-        end = now + self.gpu.cycles_to_ms(corun.duration_cycles)
-        rider_solos = []
-        for rider in action.riders:
-            head = rider.head
-            solo = self.oracle.solo_ms(head.kernel, head.grid)
-            rider_solos.append((rider, solo))
-            cd_end += solo
-            end = max(end, cd_end)
-        name = "+".join(
-            [fused.name] + [rider.head.name for rider in action.riders]
-        )
-        self._record(result, now, end, "chain", name, tc_end, cd_end,
-                     query.model.name)
-        result.n_chain_kernels += 1
-        self._note_outcome(
-            "chain", name, action.predicted_fused_ms, end - now, end
-        )
-        self._retire_be_head(app, result, end)
-        for rider, _ in rider_solos:
-            self._retire_be_head(rider, result, end)
-        self._finish_query_kernel(query, end, active, result)
-        return end

@@ -92,14 +92,7 @@ class RunTelemetry:
             "repro_runs_total", "Completed co-location runs.",
             **run_labels,
         ).inc()
-        for kind, count in (
-            ("lc", result.n_lc_kernels),
-            ("be", result.n_be_kernels),
-            ("fused", result.n_fused_kernels),
-            ("hfused", getattr(result, "n_hfused_kernels", 0)),
-            ("spatial", getattr(result, "n_spatial_kernels", 0)),
-            ("chain", getattr(result, "n_chain_kernels", 0)),
-        ):
+        for kind, count in result.kernel_counts().items():
             if count:
                 reg.counter(
                     "repro_kernels_total", "Executed launches by kind.",

@@ -255,14 +255,15 @@ class TestEndToEnd:
 
     def test_corrupted_timeline_fails_audit(self, monkeypatch):
         audit.enable()
-        original = ColocationServer._run_lc
+        original = ColocationServer._commit
 
-        def corrupted(self, action, now, active, result):
-            # Report the LC kernel as finishing earlier than it did:
+        def corrupted(self, action, now, active, result, priced):
+            # Report an LC kernel as finishing earlier than it did:
             # the next launch then overlaps it on the timeline.
-            return original(self, action, now, active, result) - 0.05
+            end = original(self, action, now, active, result, priced)
+            return end - 0.05 if action.kind == "lc" else end
 
-        monkeypatch.setattr(ColocationServer, "_run_lc", corrupted)
+        monkeypatch.setattr(ColocationServer, "_commit", corrupted)
         system = TackerSystem(audit=True)
         with pytest.raises(AuditViolation, match="busy-timeline-monotone"):
             system.run_pair("resnet50", "fft", n_queries=5)

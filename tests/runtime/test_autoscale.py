@@ -294,66 +294,41 @@ class TestNodeFaultModes:
         assert slowed.merged_p99_ms > healthy.merged_p99_ms
 
     @pytest.mark.parametrize("policy,kind", [
-        ("hfuse", "hfused"), ("spatial", "spatial"),
+        ("tacker", "fused"), ("multifuse", "chain"), ("hfuse", "hfused"),
+        ("spatial", "spatial"), ("baymax", "lc"), ("baymax", "be"),
     ])
-    def test_slow_node_slows_zoo_coruns(self, gpu, policy, kind):
-        """hfused and spatial launches run on the degraded clock too."""
-        from repro.runtime.autoscale import _SlowOracle
-        from repro.runtime.query import BEApplication, KernelInstance, Query
-        from repro.runtime.runconfig import RunConfig
+    def test_slow_node_slows_every_launch_kind(
+        self, every_kind_colocation, monkeypatch, policy, kind
+    ):
+        """Every launch, of every kind, runs on the degraded clock."""
         from repro.runtime.server import ColocationServer
-        from repro.runtime.system import TackerSystem
-
-        class CorunSpy:
-            """The server's view of the healthy oracle, logging co-runs."""
-
-            def __init__(self, oracle):
-                self._oracle = oracle
-                self.coruns = []
-
-            def corun_policy(self, *args, **params):
-                corun = self._oracle.corun_policy(*args, **params)
-                self.coruns.append(corun)
-                return corun
-
-            def __getattr__(self, name):
-                return getattr(self._oracle, name)
 
         factor = 3.0
-        system = TackerSystem(gpu=gpu, config=RunConfig(queries=8), store=None)
-        library = system.library
-        if policy == "spatial":
-            # small grids under-fill their partitions, so spatial admits
-            be_apps = [BEApplication(
-                "mriq", (KernelInstance(library.get("mriq"), 6),)
-            )]
-        else:
-            be_apps = [
-                BEApplication(name, (KernelInstance(
-                    library.get(name), library.get(name).default_grid
-                ),))
-                for name in ("sgemm", "mriq")
-            ]
-        model = model_by_name("resnet50")
-        instances = (
-            KernelInstance(library.get("tgemm_l"), 4),
-            KernelInstance(library.get("relu"), 4),
-        )
-        spy = CorunSpy(system.oracle)
+        system, policy_, queries, be_apps = every_kind_colocation(policy)
         server = ColocationServer(
-            system.gpu, oracle=_SlowOracle(spy, factor),
-            policy=system.make_policy(policy), config=system.config,
-            record_kernels=True,
+            system.gpu, oracle=system.oracle, policy=policy_,
+            config=system.config, slow_factor=factor, record_kernels=True,
         )
-        queries = [Query(model, i * 10.0, instances) for i in range(8)]
+        healthy = ColocationServer(
+            system.gpu, oracle=system.oracle, policy=policy_,
+            config=system.config,
+        )
+        healthy_ms = []
+        slowed_price = server._price
+
+        def price(action, now):
+            # the same action priced on a healthy node: (name, duration, ...)
+            healthy_ms.append(healthy._price(action, now)[1])
+            return slowed_price(action, now)
+
+        monkeypatch.setattr(server, "_price", price)
         result = server.run(queries, be_apps)
-        launched = [k for k in result.executed if k.kind == kind]
-        assert launched and len(launched) == len(spy.coruns)
-        for kernel, corun in zip(launched, spy.coruns):
-            healthy_ms = gpu.cycles_to_ms(corun.duration_cycles)
+        assert any(k.kind == kind for k in result.executed)
+        assert len(result.executed) == len(healthy_ms)
+        for kernel, ms in zip(result.executed, healthy_ms):
             assert kernel.end_ms - kernel.start_ms == pytest.approx(
-                factor * healthy_ms, rel=1e-12
-            )
+                factor * ms, rel=1e-9
+            ), kernel
 
     def test_flapping_node_takes_no_new_queries_while_down(self):
         result = run_autoscale(AutoscaleSpec(

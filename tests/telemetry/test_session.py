@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.gpusim.trace import Timeline
+from repro.runtime.server import ServerResult
 from repro.telemetry import (
     RunTelemetry,
     MetricsRegistry,
@@ -31,12 +33,13 @@ def query(service="Resnet50", arrival=0.0, qid=7):
 
 def run_result(**overrides):
     fields = dict(
+        qos_ms=50.0, horizon_ms=100.0, end_ms=0.0, latencies_ms=[12.0],
+        be_work_ms={}, tc_timeline=Timeline(), cd_timeline=Timeline(),
         n_lc_kernels=10, n_be_kernels=3, n_fused_kernels=2,
-        n_shed_be=0, n_deferred_be=0, n_dropped_be=0, n_delayed_be=0,
-        guard_mode_decisions={}, latencies_by_model={"Resnet50": [12.0]},
+        latencies_by_model={"Resnet50": [12.0]},
     )
     fields.update(overrides)
-    return SimpleNamespace(**fields)
+    return ServerResult(**fields)
 
 
 class TestSwitch:
