@@ -588,7 +588,7 @@ class ColocationServer:
                 and query.cursor == 0):
             self._telemetry.note_first_launch(query.qid, now)
         faults = ()
-        if self.faults is not None and kind == "be":
+        if self.faults is not None:
             retired, faults = [], []
             for part in parts:
                 app, _, offset = part

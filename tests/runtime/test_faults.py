@@ -20,6 +20,7 @@ from repro.runtime.policies import (
     GuardConfig,
     MispredictGuard,
     TackerPolicy,
+    list_policies,
 )
 from repro.runtime.query import BEApplication, KernelInstance, Query
 from repro.runtime.server import ColocationServer, ServerResult
@@ -429,6 +430,85 @@ class TestFaultedServerRuns:
         assert faulted.total_be_work_ms == pytest.approx(
             solo * faulted.n_be_kernels, rel=1e-6
         )
+
+
+class TestBEFaultsReachEveryPart:
+    """BE completion faults hit the BE part of every launch kind."""
+
+    @staticmethod
+    def serve(build, monkeypatch, name, plan):
+        """A faulted run plus the fault-free price of each launch."""
+        system, policy, queries, be_apps = build(name)
+        server = ColocationServer(
+            system.gpu, oracle=system.oracle, policy=policy,
+            config=system.config, faults=FaultInjector(plan),
+            record_kernels=True,
+        )
+        priced = []
+        price = server._price
+
+        def spy(action, now):
+            priced.append(price(action, now))
+            return priced[-1]
+
+        monkeypatch.setattr(server, "_price", spy)
+        completions = []
+        advance = Query.advance
+
+        def note_completion(query, end):
+            completions.append(end)
+            advance(query, end)
+
+        monkeypatch.setattr(Query, "advance", note_completion)
+        result = server.run(queries, be_apps)
+        return result, priced, completions, be_apps
+
+    @pytest.mark.parametrize("name", list_policies())
+    def test_drop_credits_no_be_work(
+        self, every_kind_colocation, monkeypatch, name
+    ):
+        result, priced, _, be_apps = self.serve(
+            every_kind_colocation, monkeypatch, name, FaultPlan(be_drop=1.0)
+        )
+        n_parts = sum(len(parts) for *_, parts, _ in priced)
+        assert n_parts > 0
+        assert result.n_dropped_be == n_parts
+        assert result.total_be_work_ms == 0.0
+        assert all(app.completed_kernels == 0 for app in be_apps)
+
+    @pytest.mark.parametrize("name", list_policies())
+    def test_delay_stretches_every_be_launch(
+        self, every_kind_colocation, monkeypatch, name
+    ):
+        factor = 4.0
+        result, priced, completions, _ = self.serve(
+            every_kind_colocation, monkeypatch, name,
+            FaultPlan(be_delay=1.0, be_delay_factor=factor),
+        )
+        assert len(result.executed) == len(priced)
+        n_parts = sum(len(parts) for *_, parts, _ in priced)
+        assert n_parts > 0 and result.n_delayed_be == n_parts
+        lc_ends = []
+        for kernel, (_, duration, _, _, _, lc_end, _, parts, _) in zip(
+            result.executed, priced
+        ):
+            served_ms = kernel.end_ms - kernel.start_ms
+            if parts:
+                # the launch ends at its latest part, each BE part
+                # finishing at start + factor x its healthy offset
+                latest = factor * max(offset for _, _, offset in parts)
+                assert served_ms > duration
+                assert served_ms == pytest.approx(
+                    max(duration, latest), rel=1e-9
+                ), kernel
+            else:
+                assert served_ms == pytest.approx(duration, rel=1e-9)
+            if kernel.kind in ("lc", "fused", "spatial", "chain"):
+                lc_ends.append(kernel.end_ms if lc_end is None else lc_end)
+        # an LC kernel completes with its launch — a fused or chain LC
+        # half waits for the delayed BE half — except a spatial LC
+        # partition, which finishes on its own
+        assert completions == lc_ends
 
 
 class TestSystemIntegration:
