@@ -410,17 +410,20 @@ class ColocationServer:
         active: list[Query],
         result: ServerResult,
     ) -> Action:
-        """Overload admission control for direct BE launches.
+        """Overload admission control for launches without an LC kernel.
 
         Only active for guarded policies.  When the ground-truth Eq. 9
         accounting says the reserved LC time leaves no headroom, a
-        policy-approved BE launch is refused — *shed* when the slack is
-        gone, *deferred* when it is merely below the admission margin —
-        and the LC query runs instead.  The BE kernel stays at the head
-        of its stream, so deferral is a reordering, not a loss.
+        policy-approved launch that carries no LC kernel (``be``,
+        ``hfused``) is refused — *shed* when the slack is gone,
+        *deferred* when it is merely below the admission margin — and
+        the LC query runs instead.  The BE kernels stay at the head of
+        their streams, so deferral is a reordering, not a loss.  A
+        launch carrying an LC kernel was priced against Eq. 9 when the
+        policy chose it.
         """
         guard = self.policy.guard
-        if guard is None or action.kind != "be" or not active:
+        if guard is None or action.query is not None or not active:
             return action
         slack = self.true_headroom_ms(now, active)
         if slack <= 0:

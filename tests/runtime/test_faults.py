@@ -23,6 +23,7 @@ from repro.runtime.policies import (
     list_policies,
 )
 from repro.runtime.query import BEApplication, KernelInstance, Query
+from repro.runtime.runconfig import RunConfig
 from repro.runtime.server import ColocationServer, ServerResult
 from repro.runtime.system import TackerSystem
 
@@ -397,6 +398,28 @@ class TestAdmissionControl:
         action = Action(kind="lc", query=queries[0])
         out = server._admit(action, 100.0, queries, empty_result())
         assert out is action
+
+    def test_guarded_hfuse_pairs_face_admission(self, gpu):
+        """An hfused pair carries no LC kernel, so under an
+        under-predicting model its launches are shed or deferred too."""
+        system = TackerSystem(
+            gpu=gpu, config=RunConfig(queries=10, telemetry=True)
+        )
+        model = model_by_name("resnet50")
+        for name in ("sgemm", "mriq"):
+            system.prepare_pair(model, be_app(system, name))
+        policy = system.make_policy("hfuse", guard=True)
+        result = system.run_custom(
+            model, ("sgemm", "mriq"), policy, n_queries=10,
+            faults=FaultPlan(predictor_bias=0.5),
+        )
+        refused = [
+            decision for decision in result.telemetry.decisions
+            if decision.kind == "hfused"
+            and decision.admission in ("shed", "deferred")
+        ]
+        assert refused
+        assert result.n_shed_be + result.n_deferred_be >= len(refused)
 
 
 class TestFaultedServerRuns:
