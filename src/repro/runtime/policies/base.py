@@ -1,16 +1,20 @@
 """The slim :class:`SchedulerPolicy` protocol and shared machinery.
 
-A scheduler policy is a plugin: the server only ever calls the five
-methods of the protocol — :meth:`SchedulerPolicy.decide`,
-:meth:`SchedulerPolicy.note_outcome`,
+A scheduler policy is a plugin.  The protocol is
+:meth:`SchedulerPolicy.decide`, :meth:`SchedulerPolicy.note_outcome`,
 :meth:`SchedulerPolicy.note_query_done`,
-:meth:`SchedulerPolicy.current_thr_ms` and the
-:attr:`SchedulerPolicy.policy_name` stamp — and everything else here
-(the headroom tracker, the mispredict guard, the telemetry recorder,
-the reorder/pure-BE helpers) is shared machinery subclasses may reuse
-but the server never touches directly.  Concrete policies register
-themselves with :mod:`repro.runtime.policies.registry` and are built
-through :func:`~repro.runtime.policies.registry.policy_from_name`.
+:meth:`SchedulerPolicy.current_thr_ms` (which the auditor recomputes)
+and the :attr:`SchedulerPolicy.policy_name` stamp.  Beyond it, the
+server reads ``policy.guard`` (the mispredict guard, or None),
+``policy.headroom.qos_ms`` (the internal target of its ground-truth
+admission control), ``policy.predict_ms`` (to price the LC launch that
+replaces a refused BE launch) and ``policy.models.observe_fused``
+(online fused-model maintenance), and sets ``policy.telemetry`` to the
+run's session.  Everything else here (the reorder/pure-BE helpers, the
+decision recorder) is shared machinery subclasses may reuse but the
+server never touches.  Concrete policies register themselves with
+:mod:`repro.runtime.policies.registry` and are built through
+:func:`~repro.runtime.policies.registry.policy_from_name`.
 """
 
 from __future__ import annotations

@@ -204,8 +204,9 @@ class ColocationServer:
         self.qos_ms = self.config.qos_ms
         #: actual-duration multiplier of a silently degraded node: every
         #: served duration (solo, co-run, and the ground-truth admission
-        #: accounting) runs this many times longer, while the policy's
-        #: predictor keeps believing healthy durations
+        #: accounting) runs this many times longer and retired BE kernels
+        #: credit their scaled solo time, while the policy's predictor
+        #: keeps believing healthy durations
         self.slow_factor = slow_factor
         self.record_kernels = record_kernels
         #: injected faults for this run (None = the paper's happy path)
@@ -444,11 +445,7 @@ class ColocationServer:
             predicted_lc_ms=self.policy.predict_ms(query.current),
         )
 
-    # -- the launch path ------------------------------------------------------
-    #
-    # Every launch goes through two steps: ``_price`` turns the action
-    # into what the launch runs (the only kind-specific code), and
-    # ``_commit`` applies one set of timing, fault and accounting rules.
+    # -- the launch path: price, then commit ----------------------------------
 
     def _solo_ms(self, instance) -> float:
         """Served solo duration of one kernel instance on this node."""
@@ -462,7 +459,8 @@ class ColocationServer:
         return self.gpu.cycles_to_ms(cycles * self.slow_factor)
 
     def _price(self, action: Action, now: float) -> tuple:
-        """What a launch starting at ``now`` runs.
+        """What a launch starting at ``now`` runs (the only step that
+        depends on the launch kind).
 
         Returns ``(name, duration, end, tc_end, cd_end, lc_end,
         predicted, parts, observed)``: the served duration and end, the

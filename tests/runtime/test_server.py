@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import SchedulingError
+from repro.errors import ConfigError, SchedulingError
 from repro.models.zoo import model_by_name
 from repro.runtime.policies import BaymaxPolicy, TackerPolicy
 from repro.runtime.query import BEApplication, KernelInstance, Query
@@ -60,6 +60,11 @@ class TestBasicRuns:
     def test_rejects_empty_trace(self, system):
         with pytest.raises(SchedulingError):
             run(system, BaymaxPolicy, [], [be_app(system)])
+
+    @pytest.mark.parametrize("factor", [0.0, -1.0, float("nan")])
+    def test_rejects_non_positive_slow_factor(self, system, factor):
+        with pytest.raises(ConfigError, match="slow_factor"):
+            run(system, BaymaxPolicy, [], [], slow_factor=factor)
 
     def test_lc_only_latency_is_solo(self, system):
         queries = make_queries(system, 3, gap_ms=100.0)
