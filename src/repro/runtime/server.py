@@ -588,20 +588,20 @@ class ColocationServer:
         if (self._telemetry is not None and query is not None
                 and query.cursor == 0):
             self._telemetry.note_first_launch(query.qid, now)
-        faults = ()
+        events = ()
         if self.faults is not None:
-            retired, faults = [], []
+            retired, events = [], []
             for part in parts:
                 app, _, offset = part
                 actual, dropped = self.faults.be_outcome(offset)
                 if dropped:
                     result.n_dropped_be += 1
-                    faults.append(("be_drop", app.head.name))
+                    events.append(("be_drop", app.head.name))
                 else:
                     retired.append(part)
                 if actual > offset:
                     result.n_delayed_be += 1
-                    faults.append(("be_delay", app.head.name))
+                    events.append(("be_delay", app.head.name))
                     finish = now + actual
                     if app.head.kind == "tc":
                         tc_end = max(tc_end, finish)
@@ -623,7 +623,7 @@ class ColocationServer:
         if self.monitor is not None:
             self.monitor.note_outcome(kind, name, predicted, duration, end)
             self._sync_guard(end)
-            for fault, part_name in faults:
+            for fault, part_name in events:
                 self.monitor.note_fault(fault, end, name=part_name)
         if observed is not None:
             # Online model maintenance (Section VI-C).
