@@ -313,22 +313,33 @@ class TestNodeFaultModes:
             system.gpu, oracle=system.oracle, policy=policy_,
             config=system.config,
         )
-        healthy_ms = []
+        # admission control's ground-truth accounting is degraded too
+        assert server._true_remaining_ms(queries[0]) == pytest.approx(
+            factor * healthy._true_remaining_ms(queries[0]), rel=1e-12
+        )
+        prices = []
         slowed_price = server._price
 
         def price(action, now):
-            # the same action priced on a healthy node: (name, duration, ...)
-            healthy_ms.append(healthy._price(action, now)[1])
-            return slowed_price(action, now)
+            # the same action priced on a slow and on a healthy node
+            slowed = slowed_price(action, now)
+            prices.append((slowed, healthy._price(action, now)))
+            return slowed
 
         monkeypatch.setattr(server, "_price", price)
         result = server.run(queries, be_apps)
         assert any(k.kind == kind for k in result.executed)
-        assert len(result.executed) == len(healthy_ms)
-        for kernel, ms in zip(result.executed, healthy_ms):
+        assert len(result.executed) == len(prices)
+        for kernel, (slowed, fine) in zip(result.executed, prices):
+            # (name, duration, ..., observed): duration is index 1
             assert kernel.end_ms - kernel.start_ms == pytest.approx(
-                factor * ms, rel=1e-9
+                factor * fine[1], rel=1e-9
             ), kernel
+            if fine[-1] is not None:
+                # the online fused model observes the served co-run
+                assert slowed[-1][-1] == pytest.approx(
+                    factor * fine[-1][-1], rel=1e-12
+                )
 
     def test_flapping_node_takes_no_new_queries_while_down(self):
         result = run_autoscale(AutoscaleSpec(

@@ -458,6 +458,10 @@ class TestFaultedServerRuns:
 class TestBEFaultsReachEveryPart:
     """BE completion faults hit the BE part of every launch kind."""
 
+    #: the launch kind each registered policy co-runs BE work with
+    KIND = {"baymax": "be", "gpuos": "fused", "hfuse": "hfused",
+            "multifuse": "chain", "spatial": "spatial", "tacker": "fused"}
+
     @staticmethod
     def serve(build, monkeypatch, name, plan):
         """A faulted run plus the fault-free price of each launch."""
@@ -493,6 +497,7 @@ class TestBEFaultsReachEveryPart:
         result, priced, _, be_apps = self.serve(
             every_kind_colocation, monkeypatch, name, FaultPlan(be_drop=1.0)
         )
+        assert result.kernel_counts()[self.KIND[name]] > 0
         n_parts = sum(len(parts) for *_, parts, _ in priced)
         assert n_parts > 0
         assert result.n_dropped_be == n_parts
@@ -508,6 +513,7 @@ class TestBEFaultsReachEveryPart:
             every_kind_colocation, monkeypatch, name,
             FaultPlan(be_delay=1.0, be_delay_factor=factor),
         )
+        assert result.kernel_counts()[self.KIND[name]] > 0
         assert len(result.executed) == len(priced)
         n_parts = sum(len(parts) for *_, parts, _ in priced)
         assert n_parts > 0 and result.n_delayed_be == n_parts
@@ -526,11 +532,14 @@ class TestBEFaultsReachEveryPart:
                 ), kernel
             else:
                 assert served_ms == pytest.approx(duration, rel=1e-9)
-            if kernel.kind in ("lc", "fused", "spatial", "chain"):
-                lc_ends.append(kernel.end_ms if lc_end is None else lc_end)
-        # an LC kernel completes with its launch — a fused or chain LC
-        # half waits for the delayed BE half — except a spatial LC
-        # partition, which finishes on its own
+            # an LC kernel completes with its launch (a fused or chain
+            # LC half waits for the delayed BE half), except a spatial
+            # LC partition, which finishes before the BE one drains
+            if kernel.kind == "spatial":
+                assert lc_end < kernel.end_ms
+                lc_ends.append(lc_end)
+            elif kernel.kind in ("lc", "fused", "chain"):
+                lc_ends.append(kernel.end_ms)
         assert completions == lc_ends
 
 
