@@ -79,7 +79,16 @@ class PredictionErrorTracker:
 
 
 class OnlineModelManager:
-    """Owns and maintains all duration models used by the runtime."""
+    """Owns and maintains all duration models used by the runtime.
+
+    It trains each kernel's and each fused pair's model lazily (or
+    adopts trained copies), refits a fused model online from observed
+    co-runs, saves and loads model bundles, and bumps :attr:`version`
+    whenever coefficients change.  Predictions are not memoized here:
+    the scheduler policies that call them keep their own tables per
+    model version.  Prediction-error tracking lives with the consumer
+    that acts on it, the mispredict guard.
+    """
 
     def __init__(
         self,
@@ -95,18 +104,13 @@ class OnlineModelManager:
         self._fused_models: dict[tuple[str, str], FusedDurationModel] = {}
         #: accumulated modelled training time (overhead experiment)
         self.total_training_ms = 0.0
-        #: fault-injection hook applied to every prediction (None = off)
+        #: fault-injection hook applied to every prediction (None = off);
+        #: it may be stateful, so consumers must not memoize through it
         self.perturb: Optional[Perturbation] = None
-        #: (name, grid) -> prediction memo; valid for one model version
-        #: and only without perturbation (perturbations may be stateful)
-        self._predict_memo: dict[tuple[str, int], float] = {}
-        self._predict_memo_version = 0
-        #: online predicted-vs-actual error bands (fed by the server)
-        self.errors = PredictionErrorTracker()
         #: monotone counter bumped whenever any model's coefficients
         #: change after initial training (online refit, bundle load).
         #: Consumers that cache predictions — the headroom tracker's
-        #: suffix sums, TackerPolicy's fusion cost/reserve caches —
+        #: suffix sums, the scheduler policies' prediction tables —
         #: poll it and rebuild when it advances.
         self.version = 0
 
@@ -124,18 +128,9 @@ class OnlineModelManager:
         return model
 
     def predict_kernel(self, kernel: KernelIR, grid: int) -> float:
+        predicted = self.kernel_model(kernel).predict(grid)
         if self.perturb is not None:
-            return self.perturb(
-                kernel.name, self.kernel_model(kernel).predict(grid)
-            )
-        if self._predict_memo_version != self.version:
-            self._predict_memo.clear()
-            self._predict_memo_version = self.version
-        key = (kernel.name, grid)
-        predicted = self._predict_memo.get(key)
-        if predicted is None:
-            predicted = self.kernel_model(kernel).predict(grid)
-            self._predict_memo[key] = predicted
+            predicted = self.perturb(kernel.name, predicted)
         return predicted
 
     # -- fused models -------------------------------------------------------------
@@ -197,15 +192,6 @@ class OnlineModelManager:
         if self.perturb is not None:
             predicted = self.perturb(fused.name, predicted)
         return predicted
-
-    def record_error(self, name: str, predicted: float, actual: float) -> float:
-        """Track one launch's prediction error (Section VI-C maintenance,
-        extended with the robustness layer's mispredict detection)."""
-        return self.errors.record(name, predicted, actual)
-
-    def error_band(self, name: Optional[str] = None) -> float:
-        """Observed relative-error EWMA (per kernel, or overall)."""
-        return self.errors.band(name)
 
     def observe_fused(
         self,

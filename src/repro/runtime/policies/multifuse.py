@@ -56,7 +56,7 @@ class MultiFusePolicy(TackerPolicy):
         super().__init__(gpu, models, qos_ms, artifacts, guard=guard)
         self.oracle = oracle
 
-    def _riders(self, lc_instance, pair_action: Action, thr_ms, be_apps):
+    def _riders(self, lc_instance, quote, base_app, thr_ms, be_apps):
         """Extend an admitted pair with CD riders from other BE streams.
 
         Returns (riders, chain_ms, chain_gain_ms); an empty rider tuple
@@ -64,20 +64,17 @@ class MultiFusePolicy(TackerPolicy):
         profiled pair co-run plus rider solos, so the server's replay
         of the chain reproduces the prediction exactly.
         """
-        base_app = pair_action.be_app
         be_head = base_app.head
-        if lc_instance.kind == "tc":
+        if quote.lc_is_tc:
             tc_grid, cd_grid = lc_instance.grid, be_head.grid
-            lc_is_tc = True
         else:
             tc_grid, cd_grid = be_head.grid, lc_instance.grid
-            lc_is_tc = False
-        profile = self.oracle.fused(pair_action.fused, tc_grid, cd_grid)
+        profile = self.oracle.fused(quote.fused, tc_grid, cd_grid)
         to_ms = self.gpu.cycles_to_ms
         cd_end = to_ms(profile.finish_b_cycles)
         chain_end = to_ms(profile.duration_cycles)
         lc_solo_ms = to_ms(
-            profile.solo_a_cycles if lc_is_tc else profile.solo_b_cycles
+            profile.solo_a_cycles if quote.lc_is_tc else profile.solo_b_cycles
         )
         riders = []
         gain_ms = 0.0
@@ -104,83 +101,25 @@ class MultiFusePolicy(TackerPolicy):
             chain_end = new_chain_end
         return tuple(riders), chain_end, gain_ms
 
-    def decide(self, now_ms, active, be_apps):
-        self.decisions += 1
-        session = self.telemetry
-        if not active:
-            action = self._pure_be(be_apps)
-            if session is not None and action is not None:
-                self._record_decision(now_ms, action)
-            return action
-        query = active[0]
-        mode = "fuse"
-        guard_mode = None
-        if self.guard is not None:
-            self.guard.note_decision()
-            mode = guard_mode = self.guard.mode
-            if mode == "exclusive":
-                action = Action(
-                    kind="lc", query=query,
-                    predicted_lc_ms=self.predict_ms(query.current),
-                )
-                if session is not None:
-                    self._record_decision(
-                        now_ms, action, query=query, guard_mode=guard_mode,
-                    )
-                return action
-        reservation = None
-        if session is not None:
-            thr, reservation = self._thr_with_reservation(now_ms, active)
-        else:
-            thr = self.current_thr_ms(now_ms, active)
-        lc_instance = query.current
-        candidates: Optional[list] = [] if session is not None else None
-        if mode == "fuse" and (lc_instance.fusable or lc_instance.kind == "cd"):
-            best: Optional[tuple[float, Action]] = None
-            for app in be_apps:
-                scored = self._fusion_for(lc_instance, app, thr, candidates)
-                if scored is None or scored[0] <= 0:
-                    continue
-                if best is None or scored[0] > best[0]:
-                    best = scored
-            if best is not None:
-                self.fusions += 1
-                gain, action = best
-                riders, chain_ms, rider_gain = self._riders(
-                    lc_instance, action, thr, be_apps
-                )
-                rider_solo_ms = sum(
-                    self.oracle.solo_ms(app.head.kernel, app.head.grid)
-                    for app in riders
-                )
-                chosen = Action(
-                    kind="chain" if riders else "fused",
-                    query=query,
-                    be_app=action.be_app,
-                    fused=action.fused,
-                    riders=riders,
-                    predicted_lc_ms=action.predicted_lc_ms,
-                    predicted_be_ms=action.predicted_be_ms + rider_solo_ms,
-                    predicted_fused_ms=(
-                        chain_ms if riders else action.predicted_fused_ms
-                    ),
-                )
-                if session is not None:
-                    self._record_decision(
-                        now_ms, chosen, query=query, thr_ms=thr,
-                        candidates=candidates, reservation=reservation,
-                        gain_ms=gain + rider_gain, guard_mode=guard_mode,
-                    )
-                return chosen
-        reserve = self._fusion_reserve_ms(query, be_apps)
-        action = self._reorder_or_lc(query, be_apps, thr - reserve)
-        if session is not None:
-            self._record_decision(
-                now_ms, action, query=query, thr_ms=thr, reserve_ms=reserve,
-                candidates=candidates or (), reservation=reservation,
-                guard_mode=guard_mode,
-            )
-        return action
+    def _fused_action(self, query, quote, app, thr_ms, be_apps):
+        riders, chain_ms, rider_gain = self._riders(
+            query.current, quote, app, thr_ms, be_apps
+        )
+        rider_solo_ms = sum(
+            self.oracle.solo_ms(rider.head.kernel, rider.head.grid)
+            for rider in riders
+        )
+        action = Action(
+            kind="chain" if riders else "fused",
+            query=query,
+            be_app=app,
+            fused=quote.fused,
+            riders=riders,
+            predicted_lc_ms=quote.lc_ms,
+            predicted_be_ms=quote.be_ms + rider_solo_ms,
+            predicted_fused_ms=chain_ms if riders else quote.fused_ms,
+        )
+        return action, quote.gain_ms + rider_gain
 
 
 def _factory(system, guard):
