@@ -799,7 +799,7 @@ def _cmd_trace(args) -> int:
     model = model_by_name(args.lc_model)
     system.prepare_pair(model, be_application(args.be_app, system.library))
     result = system.run_custom(
-        model, [args.be_app], system._make_policy("tacker"),
+        model, [args.be_app], system.make_policy("tacker"),
         n_queries=args.queries, record_kernels=True,
     )
     path = write_chrome_trace(result, args.output)

@@ -59,7 +59,7 @@ def run(
     samples = {}
     for policy_name in ("tacker", "baymax"):
         result = system.run_custom(
-            model, [be_name], system._make_policy(policy_name),
+            model, [be_name], system.make_policy(policy_name),
             n_queries=n_queries,
         )
         samples[policy_name] = power.sample(

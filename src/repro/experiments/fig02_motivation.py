@@ -57,7 +57,7 @@ def run(
         model = model_by_name(lc)
         for be in be_names:
             result = system.run_custom(
-                model, [be], system._make_policy("baymax"),
+                model, [be], system.make_policy("baymax"),
                 n_queries=n_queries,
             )
             breakdowns[(model.name, be)] = active_time_breakdown(result)

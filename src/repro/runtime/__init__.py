@@ -104,7 +104,6 @@ __all__ = [
     "DurationOracle",
     "HeadroomTracker",
     "SchedulerPolicy",
-    "SchedulingPolicy",
     "BaymaxPolicy",
     "TackerPolicy",
     "register_policy",
@@ -153,13 +152,3 @@ __all__ = [
     "cluster_to_chrome_trace",
     "write_cluster_trace",
 ]
-
-
-def __getattr__(name: str):
-    # Deprecated alias kept importable after the policies package split;
-    # the policies package owns the warn-once shim.
-    if name == "SchedulingPolicy":
-        from . import policies
-
-        return policies.SchedulingPolicy
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -67,21 +67,14 @@ from .cluster import (
     ROUTING_STRATEGIES,
     routing_strategy,
 )
-from .faults import FaultPlan, NodeFaultPlan, make_injector
+from .faults import FaultPlan, NodeFaultPlan
 from .metrics import merged_latency_stats, merged_p99_ms
 from .policies import validate_policy_name
-from .query import Query
 from .replay import StreamingResult, load_scenario, synthesize_trace
 from .runconfig import RunConfig
-from .server import ColocationServer
 from .system import TackerSystem
 from ..telemetry.slo import make_monitor
-from .workload import (
-    PoissonArrivals,
-    be_application,
-    query_instances,
-    solo_query_ms,
-)
+from .workload import PoissonArrivals, solo_query_ms
 
 #: The pluggable fleet-sizing policies.
 SCALER_POLICIES = ("static", "reactive", "burnrate")
@@ -219,7 +212,6 @@ class AutoscaleSpec:
     node_faults: NodeFaultPlan = NodeFaultPlan()
     refit: Optional[RefitPlan] = None
     occurrence_threshold: int = DEFAULT_OCCURRENCE_THRESHOLD
-    sketch_bins: int = 4096
     #: SLO alert rules the (serial) controller evaluates on fleet-level
     #: epoch aggregates; empty = monitoring off, a true no-op
     slo_rules: tuple = ()
@@ -236,8 +228,6 @@ class AutoscaleSpec:
                 f"unknown routing strategy {self.routing!r}; "
                 f"choose from {ROUTING_STRATEGIES}"
             )
-        if self.sketch_bins < 2:
-            raise ConfigError("sketch_bins must be >= 2")
         validate_policy_name(self.policy, owner="autoscale policy")
 
     @property
@@ -415,8 +405,6 @@ class EpochNodeSpec:
     faults: Optional[FaultPlan]
     #: actual-duration multiplier of a silently degraded node
     slow_factor: float = 1.0
-    sketch_upper_ms: float = 200.0
-    sketch_bins: int = 4096
 
 
 @dataclass
@@ -499,52 +487,15 @@ def run_epoch_node(spec: EpochNodeSpec) -> EpochNodeStats:
     fleet ships sketches and counters back, not latency lists.
     """
     system = TackerSystem(gpu=gpu_preset(spec.gpu), config=spec.run)
-    models: dict = {}
-    for service, _, _ in spec.arrivals:
-        if service not in models:
-            models[service] = model_by_name(service)
-    for model in models.values():
-        for be_name in spec.be_names:
-            system.prepare_pair(
-                model, be_application(be_name, system.library)
-            )
-    instances = {
-        name: query_instances(model, system.library)
-        for name, model in models.items()
-    }
-    policy = system.make_policy(spec.policy, guard=spec.guard)
-    injector = make_injector(spec.faults) if spec.faults is not None else None
+    services = dict.fromkeys(service for service, _, _ in spec.arrivals)
+    fold = StreamingResult(qos_ms=spec.run.qos_ms, horizon_ms=spec.span_ms)
     tap = _PredictionTap()
-    server = ColocationServer(
-        system.gpu, oracle=system.oracle, policy=policy,
-        config=spec.run, slow_factor=spec.slow_factor,
-        faults=injector, record_kernels=False,
-        monitor=tap,
+    result = system.serve_arrivals(
+        spec.policy, services, spec.arrivals, spec.be_names,
+        guard=spec.guard, faults=spec.faults, horizon_ms=spec.span_ms,
+        result=fold, slow_factor=spec.slow_factor, monitor=tap,
         metric_labels={"node": spec.name, "epoch": str(spec.epoch)},
     )
-    queries = [
-        Query(models[service], arrival_ms, instances[service],
-              penalty_ms=penalty_ms)
-        for service, arrival_ms, penalty_ms in spec.arrivals
-    ]
-    be_apps = [
-        be_application(name, system.library) for name in spec.be_names
-    ]
-    result = StreamingResult(
-        qos_ms=spec.run.qos_ms,
-        horizon_ms=spec.span_ms,
-        be_names=spec.be_names,
-        sketch_upper_ms=spec.sketch_upper_ms,
-        sketch_bins=spec.sketch_bins,
-    )
-    if injector is not None:
-        system.models.perturb = injector.perturb_prediction
-    try:
-        result = server.run_stream(
-            queries, be_apps, horizon_ms=spec.span_ms, result=result
-        )
-    finally:
-        system.models.perturb = None
     system.flush()
     guard_events = sum(
         count for mode, count in result.guard_mode_decisions.items()
@@ -915,7 +866,6 @@ def run_autoscale(
     provision(initial)
 
     run_cfg = scenario.run_config()
-    sketch_upper = 4.0 * scenario.qos_ms
     epochs: list = []
     all_stats: list = []
     decisions: list = []
@@ -1047,8 +997,6 @@ def run_autoscale(
                 guard=spec.guard,
                 faults=fault_plan,
                 slow_factor=spec.node_faults.slow_factor(node, t0),
-                sketch_upper_ms=sketch_upper,
-                sketch_bins=spec.sketch_bins,
             ))
         if map_fn is None:
             stats = [run_epoch_node(s) for s in specs]

@@ -22,7 +22,8 @@ merged LC arrival stream, routes each query online across the replicas
 consults each replica's Eq. 9 reservation state), and rebalances BE
 work (an under-utilized node steals a loaded neighbour's BE queue).
 The resulting :class:`RoutingPlan` is pure data, so the per-node
-simulations — each a full :class:`ColocationServer` run under the
+simulations — each a run of the replica recipe
+(:meth:`~repro.runtime.system.TackerSystem.serve_arrivals`) under the
 measured policy *and* the baseline, on its own
 :class:`~repro.runtime.system.TackerSystem` — fan out across worker
 processes and stay bit-reproducible per seed.  :class:`ClusterResult`
@@ -40,21 +41,16 @@ from typing import Callable, Optional, Sequence
 from ..config import gpu_preset
 from ..errors import SchedulingError
 from ..models.zoo import ModelSpec, model_by_name
-from .faults import FaultPlan, make_injector
+from .faults import FaultPlan
 from .headroom import reservation_slack_ms
 from .metrics import fleet_improvement, merged_p99_ms, throughput_improvement
 from .policies import validate_policy_name
-from .query import BEApplication, Query
+from .query import BEApplication
 from .runconfig import DEFAULT_RUN_CONFIG, RunConfig
-from .server import ColocationServer, ServerResult
+from .server import ServerResult
 from .system import TackerSystem
 from ..telemetry.slo import make_monitor, merge_alerts
-from .workload import (
-    be_application,
-    merged_arrival_stream,
-    query_instances,
-    solo_query_ms,
-)
+from .workload import be_application, merged_arrival_stream, solo_query_ms
 
 #: Default occurrence threshold before a workload earns fused kernels.
 DEFAULT_OCCURRENCE_THRESHOLD = 3
@@ -706,57 +702,22 @@ def run_node(spec: NodeRunSpec) -> "NodeResult":
     fleet-wide horizon so per-node throughputs aggregate fairly.
     """
     system = TackerSystem(gpu=gpu_preset(spec.gpu), config=spec.run)
-    models: dict = {}
-    for lc_name, _ in spec.lc_arrivals:
-        if lc_name not in models:
-            models[lc_name] = model_by_name(lc_name)
-    for model in models.values():
-        for be_name in spec.be_names:
-            system.prepare_pair(
-                model, be_application(be_name, system.library)
-            )
-    instances = {
-        name: query_instances(model, system.library)
-        for name, model in models.items()
-    }
+    services = dict.fromkeys(name for name, _ in spec.lc_arrivals)
+    # Only the measured policy's run is monitored: alerts compare the
+    # deployed scheduler against its SLO, not the baseline.
+    monitor = make_monitor(spec.slo_rules, spec.run.qos_ms, source=spec.name)
     results = {}
     # dict.fromkeys dedups policy == baseline (legal under per-node
     # overrides): a second run would see predictor state mutated by the
     # first and break byte-reproducibility.
-    monitor = None
     for policy_name in dict.fromkeys((spec.policy, spec.baseline)):
-        policy = system.make_policy(policy_name, guard=spec.guard)
-        injector = make_injector(spec.faults)
-        # Only the measured policy's run is monitored: alerts compare
-        # the deployed scheduler against its SLO, not the baseline.
-        node_monitor = None
-        if policy_name == spec.policy:
-            node_monitor = make_monitor(
-                spec.slo_rules, spec.run.qos_ms, source=spec.name
-            )
-            monitor = node_monitor
-        server = ColocationServer(
-            system.gpu, oracle=system.oracle, policy=policy,
-            config=spec.run, faults=injector,
-            record_kernels=spec.record_kernels,
-            monitor=node_monitor,
+        results[policy_name] = system.serve_arrivals(
+            policy_name, services, spec.lc_arrivals, spec.be_names,
+            guard=spec.guard, faults=spec.faults,
+            horizon_ms=spec.horizon_ms, record_kernels=spec.record_kernels,
+            monitor=monitor if policy_name == spec.policy else None,
             metric_labels={"node": spec.name},
         )
-        queries = [
-            Query(models[name], arrival_ms, instances[name])
-            for name, arrival_ms in spec.lc_arrivals
-        ]
-        be_apps = [
-            be_application(name, system.library) for name in spec.be_names
-        ]
-        if injector is not None:
-            system.models.perturb = injector.perturb_prediction
-        try:
-            results[policy_name] = server.run(
-                queries, be_apps, horizon_ms=spec.horizon_ms
-            )
-        finally:
-            system.models.perturb = None
     system.flush()
     return NodeResult(
         name=spec.name,

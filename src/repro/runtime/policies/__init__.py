@@ -20,13 +20,10 @@ The package splits the old ``runtime/policies.py`` module into:
 Importing this package registers every builtin policy; third-party
 policies join by calling :func:`register_policy` before naming the
 policy anywhere (entry-point style).  ``from repro.runtime.policies
-import TackerPolicy`` keeps working, as does the deprecated
-``SchedulingPolicy`` alias (warns once, use ``SchedulerPolicy``).
+import TackerPolicy`` keeps working.
 """
 
 from __future__ import annotations
-
-import warnings
 
 from .base import (
     FUSION_CHECK_MS_PER_PAIR,
@@ -65,7 +62,6 @@ __all__ = [
     "MispredictGuard",
     "QOS_GUARD",
     "SchedulerPolicy",
-    "SchedulingPolicy",
     "BaymaxPolicy",
     "TackerPolicy",
     "HFusePolicy",
@@ -80,22 +76,3 @@ __all__ = [
     "policy_from_name",
     "validate_policy_name",
 ]
-
-_ALIAS_WARNED = False
-
-
-def __getattr__(name: str):
-    # Deprecation shim: the base class was renamed in the package split.
-    if name == "SchedulingPolicy":
-        global _ALIAS_WARNED
-        if not _ALIAS_WARNED:
-            _ALIAS_WARNED = True
-            warnings.warn(
-                "SchedulingPolicy is deprecated; use SchedulerPolicy",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return SchedulerPolicy
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )

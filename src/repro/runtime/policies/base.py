@@ -10,7 +10,8 @@ server reads ``policy.guard`` (the mispredict guard, or None),
 admission control), ``policy.predict_ms`` (to price the LC launch that
 replaces a refused BE launch) and ``policy.models.observe_fused``
 (online fused-model maintenance), and sets ``policy.telemetry`` to the
-run's session.  Everything else here (the reorder/pure-BE helpers, the
+run's session and ``policy.models.perturb`` for a faulted run.
+Everything else here (the reorder/pure-BE helpers, the
 decision recorder) is shared machinery subclasses may reuse but the
 server never touches.  Concrete policies register themselves with
 :mod:`repro.runtime.policies.registry` and are built through

@@ -25,7 +25,7 @@ For multi-day horizons (10^6–10^7 queries) the list-based
 latencies and a per-kernel timeline; :class:`StreamingResult` instead
 folds every event into constant-memory accumulators (exact counters and
 BE work, a fixed-bin :class:`~repro.runtime.metrics.QuantileSketch` for
-the p99) and rides through :meth:`ColocationServer.run_stream`, which
+the p99) and rides through :meth:`ColocationServer.serve`, which
 consumes the query stream lazily.  ``tests/runtime/test_replay.py``
 pins the fold to the list-based result at small scale.
 
@@ -50,16 +50,13 @@ from ..kernels.library import KernelLibrary
 from ..models.zoo import model_by_name
 from .metrics import QuantileSketch
 from .oracle import DurationOracle
-from .query import Query
 from .runconfig import RunConfig
-from .server import ColocationServer, ServerResult
+from .server import ServerResult
 from .workload import (
     PoissonArrivals,
     arrival_gaps,
-    be_application,
     fold_gaps_to_arrivals,
     merge_streams,
-    query_instances,
 )
 
 #: Version tag of the on-disk trace format.
@@ -69,7 +66,7 @@ TRACE_SCHEMA = "repro-trace/1"
 SCENARIO_SCHEMA = "repro-scenario/1"
 
 #: Version tag of the folded replay summary (v2 added the tumbling
-#: violation-window fields; :func:`summary_v1_view` is the v1 reader).
+#: violation-window fields).
 REPLAY_SUMMARY_SCHEMA = "repro-replay-summary/2"
 
 #: The named scenarios the library ships (see ``scenarios/*.json``).
@@ -825,7 +822,6 @@ class StreamingResult(ServerResult):
         self,
         qos_ms: float,
         horizon_ms: float,
-        be_names: Sequence[str],
         sketch_upper_ms: Optional[float] = None,
         sketch_bins: int = 4096,
         window_ms: float = 1000.0,
@@ -840,7 +836,7 @@ class StreamingResult(ServerResult):
             horizon_ms=horizon_ms,
             end_ms=0.0,
             latencies_ms=[],
-            be_work_ms={name: 0.0 for name in be_names},
+            be_work_ms={},
             tc_timeline=None,  # type: ignore[arg-type]
             cd_timeline=None,  # type: ignore[arg-type]
         )
@@ -1004,8 +1000,7 @@ class StreamingResult(ServerResult):
 
         Schema v2 adds the tumbling-window violation fold
         (``window_ms``/``windows``/``violation_windows``/
-        ``worst_window_p99_ms``); see :func:`summary_v1_view` for the
-        v1 reader.
+        ``worst_window_p99_ms``).
         """
         windows = self.window_stats()
         return {
@@ -1047,54 +1042,7 @@ class StreamingResult(ServerResult):
         }
 
 
-#: Fields :data:`REPLAY_SUMMARY_SCHEMA` (v2) added over v1.
-_SUMMARY_V2_KEYS = (
-    "window_ms", "windows", "violation_windows", "worst_window_p99_ms",
-)
-
-
-def summary_v1_view(summary: dict) -> dict:
-    """Read a v1 *or* v2 replay summary as the v1 shape.
-
-    The v1 reader kept for consumers pinned to
-    ``repro-replay-summary/1``: v2's added window fields are dropped
-    and the schema tag rewritten; a v1 summary passes through
-    unchanged.  Unknown schemas raise.
-    """
-    schema = summary.get("schema")
-    if schema == "repro-replay-summary/1":
-        return dict(summary)
-    if schema != REPLAY_SUMMARY_SCHEMA:
-        raise SchedulingError(
-            f"not a replay summary (schema = {schema!r})"
-        )
-    view = {
-        key: value for key, value in summary.items()
-        if key not in _SUMMARY_V2_KEYS
-    }
-    view["schema"] = "repro-replay-summary/1"
-    return view
-
-
 # -- serving ------------------------------------------------------------------
-
-
-def trace_queries(
-    trace: Trace, library: KernelLibrary
-) -> Iterator[Query]:
-    """Lazily materialize a trace's queries, in arrival order.
-
-    One kernel-instance tuple is built per service and shared by all
-    of its queries, so the stream's memory cost is the in-flight
-    queries only.
-    """
-    instances = tuple(
-        query_instances(model_by_name(name), library)
-        for name in trace.services
-    )
-    models = tuple(model_by_name(name) for name in trace.services)
-    for t, idx in zip(trace.arrivals_ms, trace.service_idx):
-        yield Query(models[idx], float(t), instances[idx])
 
 
 def serve_trace(
@@ -1103,14 +1051,13 @@ def serve_trace(
     be_names: Sequence[str],
     policy_name: Optional[str] = None,
     streaming: bool = True,
-    sketch_bins: int = 4096,
     record_kernels: bool = False,
     monitor=None,
 ) -> ServerResult:
     """Play one trace through a system's co-location server.
 
     ``streaming=True`` (the default) folds into a constant-memory
-    :class:`StreamingResult` via :meth:`ColocationServer.run_stream`;
+    :class:`StreamingResult` over the lazily built query stream;
     ``streaming=False`` materializes every query and returns the
     list-based :class:`ServerResult` — the reference the exactness
     tests compare the fold against.  ``monitor`` attaches an
@@ -1121,34 +1068,16 @@ def serve_trace(
         raise SchedulingError("cannot serve an empty trace")
     if policy_name is None:
         policy_name = getattr(system.config, "policy", "tacker")
-    for name in trace.services:
-        model = model_by_name(name)
-        for be_name in be_names:
-            system.prepare_pair(model, be_application(be_name, system.library))
-    be_apps = [be_application(name, system.library) for name in be_names]
-    policy = system.make_policy(policy_name)
-    server = ColocationServer(
-        system.gpu, oracle=system.oracle, policy=policy,
-        config=system.config, record_kernels=record_kernels,
-        audit_run=system.audit, telemetry_run=system.telemetry,
-        monitor=monitor,
+    arrivals = ((service, t) for t, service in trace.events())
+    horizon_ms = result = None
+    if streaming:
+        horizon_ms = trace.horizon_ms(system.qos_ms)
+        result = StreamingResult(qos_ms=system.qos_ms, horizon_ms=horizon_ms)
+    result = system.serve_arrivals(
+        policy_name, trace.services, arrivals, be_names,
+        horizon_ms=horizon_ms, result=result,
+        record_kernels=record_kernels, monitor=monitor,
     )
-    horizon_ms = trace.horizon_ms(system.qos_ms)
-    if not streaming:
-        result = server.run(
-            list(trace_queries(trace, system.library)), be_apps
-        )
-    else:
-        fold = StreamingResult(
-            qos_ms=system.qos_ms,
-            horizon_ms=horizon_ms,
-            be_names=[app.name for app in be_apps],
-            sketch_bins=sketch_bins,
-        )
-        result = server.run_stream(
-            trace_queries(trace, system.library), be_apps, horizon_ms,
-            result=fold,
-        )
     if monitor is not None:
         result.alerts = monitor.alert_dicts()
     return result
@@ -1161,7 +1090,6 @@ def run_scenario(
     n_queries: Optional[int] = None,
     streaming: bool = True,
     trace: Optional[Trace] = None,
-    sketch_bins: int = 4096,
     monitor=None,
 ) -> ServerResult:
     """Synthesize (or accept) a scenario's trace and serve it.
@@ -1180,7 +1108,7 @@ def run_scenario(
         )
     result = serve_trace(
         system, trace, scenario.be_apps, policy_name,
-        streaming=streaming, sketch_bins=sketch_bins, monitor=monitor,
+        streaming=streaming, monitor=monitor,
     )
     publish_scenario_metrics(result, scenario.name, policy_name)
     return result

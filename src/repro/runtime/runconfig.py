@@ -7,14 +7,10 @@ which meant every new entry point re-declared (and could silently
 re-default) the same four numbers.  :class:`RunConfig` is the single
 home: one frozen, hashable value object that every layer shares, with
 :meth:`RunConfig.with_overrides` as the only way to vary a knob.
-
-The old keyword arguments keep working through a deprecation shim that
-warns once per owner (see :func:`warn_legacy_knobs`).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields, replace
 
 from ..errors import ConfigError
@@ -85,25 +81,3 @@ class RunConfig:
 
 #: The paper's operating point; the default everywhere.
 DEFAULT_RUN_CONFIG = RunConfig()
-
-#: Owners that already emitted their legacy-knob warning this process.
-_WARNED: set = set()
-
-
-def warn_legacy_knobs(owner: str, names) -> None:
-    """Deprecation shim: warn once per owner about loose knob kwargs."""
-    if owner in _WARNED:
-        return
-    _WARNED.add(owner)
-    listed = ", ".join(sorted(names))
-    warnings.warn(
-        f"{owner}({listed}=...) is deprecated; pass "
-        f"config=RunConfig({listed}=...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def reset_legacy_warnings() -> None:
-    """Re-arm the warn-once shim (test isolation)."""
-    _WARNED.clear()

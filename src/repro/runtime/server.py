@@ -226,83 +226,69 @@ class ColocationServer:
         self.metric_labels = dict(metric_labels or {})
         self._guard_seen = 0
 
-    def run(
+    def serve(
         self,
-        queries: Sequence[Query],
+        queries: Iterable[Query],
         be_apps: Sequence[BEApplication],
         horizon_ms: Optional[float] = None,
+        result: Optional[ServerResult] = None,
     ) -> ServerResult:
         """Run until every query completes.
 
         BE work is credited only for completions within the horizon
         (default: last arrival + QoS target), so throughput comparisons
-        between policies cover identical wall-clock windows.
+        between policies cover identical wall-clock windows.  Without
+        ``horizon_ms`` the queries are sorted by arrival; with one,
+        ``queries`` must yield in arrival order and is consumed lazily
+        (one-element lookahead), so a 10^6–10^7-query replay holds only
+        the in-flight queries in memory — provided ``result`` folds
+        incrementally too (see
+        :class:`repro.runtime.replay.StreamingResult`; the default is a
+        list-based :class:`ServerResult`).  The run sets the result's
+        horizon and keys its BE work by the served applications.
 
         An empty trace is allowed only with an explicit ``horizon_ms``
         (a replica that received no routed LC traffic): the server then
-        drains the BE streams until the horizon.
+        drains the BE streams until the horizon.  A server holding a
+        :class:`FaultInjector` installs its prediction perturbation on
+        ``policy.models`` for the run and restores the previous one.
         """
-        if not queries and horizon_ms is None:
-            raise SchedulingError("need at least one query")
-        pending = sorted(queries, key=lambda q: q.arrival_ms)
         if horizon_ms is None:
-            horizon_ms = pending[-1].arrival_ms + self.qos_ms
-        result = ServerResult(
-            qos_ms=self.qos_ms,
-            horizon_ms=horizon_ms,
-            end_ms=0.0,
-            latencies_ms=[],
-            be_work_ms={app.name: 0.0 for app in be_apps},
-            tc_timeline=Timeline(),
-            cd_timeline=Timeline(),
-        )
-        return self.serve(iter(pending), be_apps, result)
-
-    def run_stream(
-        self,
-        queries: "Iterator[Query] | Iterable[Query]",
-        be_apps: Sequence[BEApplication],
-        horizon_ms: float,
-        result: Optional[ServerResult] = None,
-    ) -> ServerResult:
-        """Serve a *time-sorted query stream* without materializing it.
-
-        The constant-memory twin of :meth:`run`: ``queries`` is
-        consumed lazily (one-element lookahead), so a 10^6–10^7-query
-        replay holds only the in-flight queries in memory — provided
-        ``result`` folds incrementally too (see
-        :class:`repro.runtime.replay.StreamingResult`).  The horizon
-        must be explicit because the last arrival is unknown up front.
-
-        BE work is credited exactly as in :meth:`run`; with the default
-        ``result=None`` a list-based :class:`ServerResult` is used,
-        which keeps per-query state and is *not* constant-memory.
-        """
-        if horizon_ms <= 0:
-            raise SchedulingError("run_stream needs a positive horizon")
+            queries = sorted(queries, key=lambda q: q.arrival_ms)
+            if not queries:
+                raise SchedulingError("need at least one query")
+            horizon_ms = queries[-1].arrival_ms + self.qos_ms
+        elif horizon_ms <= 0:
+            raise SchedulingError("serving needs a positive horizon")
         if result is None:
             result = ServerResult(
                 qos_ms=self.qos_ms,
                 horizon_ms=horizon_ms,
                 end_ms=0.0,
                 latencies_ms=[],
-                be_work_ms={app.name: 0.0 for app in be_apps},
+                be_work_ms={},
                 tc_timeline=Timeline(),
                 cd_timeline=Timeline(),
             )
-        return self.serve(iter(queries), be_apps, result)
+        result.horizon_ms = horizon_ms
+        result.be_work_ms = {app.name: 0.0 for app in be_apps}
+        if self.faults is None:
+            return self._loop(iter(queries), be_apps, result)
+        models = self.policy.models
+        previous = models.perturb
+        models.perturb = self.faults.perturb_prediction
+        try:
+            return self._loop(iter(queries), be_apps, result)
+        finally:
+            models.perturb = previous
 
-    def serve(
+    def _loop(
         self,
-        queries: "Iterator[Query]",
+        queries: Iterator[Query],
         be_apps: Sequence[BEApplication],
         result: ServerResult,
     ) -> ServerResult:
-        """The scheduling loop shared by :meth:`run` and :meth:`run_stream`.
-
-        ``queries`` must yield queries in arrival order; only a
-        one-element lookahead is held, so the iterator may be lazy.
-        """
+        """The scheduling loop: decide, admit, price, commit."""
         horizon_ms = result.horizon_ms
         auditing = (
             self.audit_run if self.audit_run is not None else audit.active()

@@ -19,12 +19,15 @@ private copy of the freshly trained model state.
 ``run_pair`` then evaluates one LC service co-located with one BE
 application under Tacker and under Baymax on identical arrival traces,
 yielding the per-pair numbers behind Figs. 14, 16 and 19.
+``serve_arrivals`` is the one replica recipe that cluster nodes,
+autoscale node-epochs and scenario replays serve routed arrivals
+through.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ..config import GPUConfig, RTX2080TI
 from ..errors import OccupancyError, SchedulingError
@@ -38,10 +41,10 @@ from ..predictor.online import OnlineModelManager
 from .faults import FaultPlan, make_injector
 from .oracle import DurationOracle, OracleStore, gpu_fingerprint
 from .policies import GuardConfig, SchedulerPolicy, policy_from_name
-from .query import BEApplication
-from .runconfig import DEFAULT_RUN_CONFIG, RunConfig, warn_legacy_knobs
+from .query import BEApplication, Query
+from .runconfig import DEFAULT_RUN_CONFIG, RunConfig
 from .server import ColocationServer, ServerResult
-from .workload import PoissonArrivals, be_application
+from .workload import PoissonArrivals, be_application, query_instances
 from .metrics import throughput_improvement
 
 #: The paper's QoS target (Section VIII-B).
@@ -100,9 +103,6 @@ class TackerSystem:
         gpu: GPUConfig = RTX2080TI,
         *,
         config: Optional[RunConfig] = None,
-        qos_ms: Optional[float] = None,
-        load: Optional[float] = None,
-        seed: Optional[int] = None,
         library: Optional[KernelLibrary] = None,
         store: "OracleStore | str | None" = "auto",
         faults: Optional[FaultPlan] = None,
@@ -110,17 +110,8 @@ class TackerSystem:
         audit: Optional[bool] = None,
         telemetry: Optional[bool] = None,
     ):
-        legacy = {
-            name: value
-            for name, value in (
-                ("qos_ms", qos_ms), ("load", load), ("seed", seed)
-            )
-            if value is not None
-        }
-        if legacy:
-            warn_legacy_knobs("TackerSystem", legacy)
         #: run-level knobs (QoS target, load, query count, seed)
-        self.config = (config or DEFAULT_RUN_CONFIG).with_overrides(**legacy)
+        self.config = config or DEFAULT_RUN_CONFIG
         self.gpu = gpu
         #: system-wide fault plan applied to every run (None = clean)
         self.faults = faults
@@ -290,9 +281,6 @@ class TackerSystem:
             guard = self.guard
         return policy_from_name(name, self, guard=guard)
 
-    def _make_policy(self, name: str) -> SchedulerPolicy:
-        return self.make_policy(name)
-
     def run_custom(
         self,
         model: ModelSpec,
@@ -335,29 +323,57 @@ class TackerSystem:
             faults=injector, audit_run=self.audit,
             telemetry_run=self.telemetry,
         )
-        if injector is None:
-            return server.run(queries, be_apps)
-        self.models.perturb = injector.perturb_prediction
-        try:
-            return server.run(queries, be_apps)
-        finally:
-            self.models.perturb = None
+        return server.serve(queries, be_apps)
 
-    def _run_policy(
+    def serve_arrivals(
         self,
         policy_name: str,
-        model: ModelSpec,
+        services: Iterable[str],
+        arrivals: Iterable[tuple],
         be_names: Sequence[str],
-        n_queries: int,
-        record_kernels: bool,
+        *,
         guard: "GuardConfig | bool | None" = None,
-        faults: "FaultPlan | bool | None" = None,
+        faults: Optional[FaultPlan] = None,
+        horizon_ms: Optional[float] = None,
+        result: Optional[ServerResult] = None,
+        **server_options,
     ) -> ServerResult:
-        return self.run_custom(
-            model, be_names, self.make_policy(policy_name, guard=guard),
-            n_queries=n_queries, record_kernels=record_kernels,
-            faults=faults,
+        """Serve one replica's routed arrivals under a registered policy.
+
+        The recipe every replica shares — a cluster node, an autoscale
+        node-epoch, a scenario replay: prepare each (service, BE) pair,
+        build the policy with ``guard`` (see :meth:`make_policy`) and a
+        fresh injector for ``faults``, and serve the BE applications
+        with the queries of ``arrivals``.  ``arrivals`` yields
+        ``(service, arrival_ms[, penalty_ms])`` tuples in arrival order
+        and is turned into queries lazily, sharing one kernel-instance
+        tuple per service; ``services`` names every service it may
+        carry.  ``horizon_ms`` and ``result`` go to
+        :meth:`ColocationServer.serve`, the other keywords to the
+        server (``slow_factor``, ``record_kernels``, ``monitor``,
+        ``metric_labels``).
+        """
+        models = {name: model_by_name(name) for name in services}
+        be_apps = [be_application(name, self.library) for name in be_names]
+        for model in models.values():
+            for app in be_apps:
+                self.prepare_pair(model, app)
+        instances = {
+            name: query_instances(model, self.library)
+            for name, model in models.items()
+        }
+        queries = (
+            Query(models[name], arrival_ms, instances[name], *penalty)
+            for name, arrival_ms, *penalty in arrivals
         )
+        server = ColocationServer(
+            self.gpu, oracle=self.oracle,
+            policy=self.make_policy(policy_name, guard=guard),
+            config=self.config, faults=make_injector(faults),
+            audit_run=self.audit, telemetry_run=self.telemetry,
+            **server_options,
+        )
+        return server.serve(queries, be_apps, horizon_ms, result)
 
     def run_multi(
         self,
@@ -406,11 +422,11 @@ class TackerSystem:
         be_apps = [be_application(name, self.library) for name in be_names]
         server = ColocationServer(
             self.gpu, oracle=self.oracle,
-            policy=self._make_policy(policy_name),
+            policy=self.make_policy(policy_name),
             config=self.config, audit_run=self.audit,
             telemetry_run=self.telemetry,
         )
-        return server.run(queries, be_apps)
+        return server.serve(queries, be_apps)
 
     def run_pair(
         self,
@@ -430,11 +446,13 @@ class TackerSystem:
         )
         be_app = be_application(be_name, self.library)
         self.prepare_pair(model, be_app)
-        tacker = self._run_policy(
-            "tacker", model, [be_name], n_queries, record_kernels
+        tacker = self.run_custom(
+            model, [be_name], self.make_policy("tacker"),
+            n_queries=n_queries, record_kernels=record_kernels,
         )
-        baymax = self._run_policy(
-            "baymax", model, [be_name], n_queries, record_kernels
+        baymax = self.run_custom(
+            model, [be_name], self.make_policy("baymax"),
+            n_queries=n_queries, record_kernels=record_kernels,
         )
         return PairOutcome(
             lc_name=model.name, be_name=be_app.name,

@@ -6,6 +6,8 @@ territory; the fleet-scale behaviour is the benchmark suite's job
 (``benchmarks/test_autoscale.py``).
 """
 
+import json
+
 import pytest
 
 from repro import audit
@@ -25,6 +27,7 @@ from repro.runtime.autoscale import (
     run_autoscale,
 )
 from repro.runtime.faults import NodeFault, NodeFaultPlan
+from repro.runtime.replay import scenarios_dir
 from repro.runtime.workload import query_instances
 
 #: Small enough to run in seconds, big enough to cross epoch
@@ -67,7 +70,6 @@ class TestConfigValidation:
         dict(scenario="diurnal", span_ms=10.0, epoch_ms=100.0),
         dict(scenario="diurnal", rate_nodes=0),
         dict(scenario="diurnal", routing="psychic"),
-        dict(scenario="diurnal", sketch_bins=1),
     ])
     def test_bad_spec(self, kwargs):
         with pytest.raises(ConfigError):
@@ -225,6 +227,24 @@ class TestStaticRun:
         assert summary["queries"] == static_result.total_queries
 
 
+class TestBEAppSpelling:
+    def test_be_work_keyed_by_the_served_app(self, tmp_path):
+        """A scenario may spell a BE app in any case ``be_application``
+        accepts; its work is credited to the application served."""
+        data = json.loads((scenarios_dir() / "diurnal.json").read_text())
+        results = []
+        for stem, spelling in (("lower", "res-t"), ("canonical", "Res-T")):
+            path = tmp_path / f"{stem}.json"
+            path.write_text(json.dumps(dict(data, be_apps=[spelling])))
+            results.append(run_autoscale(AutoscaleSpec(
+                scenario=str(path), rate_nodes=1, span_ms=1000.0,
+                epoch_ms=1000.0,
+            )))
+        lower, canonical = results
+        assert lower.summary_dict() == canonical.summary_dict()
+        assert lower.total_be_work_ms == canonical.total_be_work_ms > 0
+
+
 class TestCrashReroute:
     def test_no_query_silently_dropped(self, crash_result):
         result, _ = crash_result
@@ -327,7 +347,7 @@ class TestNodeFaultModes:
             return slowed
 
         monkeypatch.setattr(server, "_price", price)
-        result = server.run(queries, be_apps)
+        result = server.serve(queries, be_apps)
         assert any(k.kind == kind for k in result.executed)
         assert len(result.executed) == len(prices)
         for kernel, (slowed, fine) in zip(result.executed, prices):

@@ -3,16 +3,21 @@
 import pytest
 
 from repro.errors import SchedulingError
+from repro.models.zoo import model_by_name
 from repro.runtime.cluster import (
     ClusterDispatcher,
     ClusterManager,
+    ClusterSpec,
+    NodeSpec,
     ReplicaState,
     default_cluster_spec,
     routing_strategy,
     serve_cluster,
 )
+from repro.runtime.replay import Trace, serve_trace
 from repro.runtime.runconfig import RunConfig
 from repro.runtime.system import TackerSystem
+from repro.runtime.workload import merged_arrival_stream
 
 
 @pytest.fixture(scope="module")
@@ -253,8 +258,34 @@ class TestServeCluster:
         assert sum(n.n_queries for n in first.nodes) == 8
         assert first.fleet_p99_ms > 0
 
+    @pytest.mark.parametrize("policy", ["tacker", "baymax", "multifuse"])
+    def test_one_node_cluster_is_a_plain_server(self, gpu, policy):
+        """A one-node fleet serves the whole merged stream exactly as a
+        plain trace replay on a fresh system does."""
+        run = RunConfig(queries=40)
+        lc_names = ("resnet50", "vgg19")
+        spec = ClusterSpec(
+            nodes=(NodeSpec(name="node0", be_names=("fft", "mriq")),),
+            lc_names=lc_names, run=run, policy=policy,
+        )
+        node = serve_cluster(spec).nodes[0].tacker
+        fresh = TackerSystem(gpu=gpu, config=run)
+        stream = merged_arrival_stream(
+            [model_by_name(name) for name in lc_names], fresh.library,
+            fresh.oracle, count=run.queries, seed=run.seed, load=run.load,
+            qos_ms=run.qos_ms, rate_scale=1 / len(lc_names),
+        )
+        plain = serve_trace(
+            fresh, Trace.from_stream(stream), ("fft", "mriq"), policy,
+            streaming=False,
+        )
+        assert node.horizon_ms == plain.horizon_ms
+        assert node.latencies_ms == plain.latencies_ms
+        assert node.be_work_ms == plain.be_work_ms
+        assert node.kernel_counts() == plain.kernel_counts()
+        assert node.end_ms == plain.end_ms
+
     def test_fault_plans_reseed_per_node(self, system):
-        from repro.runtime.cluster import ClusterSpec, NodeSpec
         from repro.runtime.faults import FaultPlan
 
         plan = FaultPlan(be_drop=0.5, seed=7)

@@ -320,7 +320,7 @@ class TestGuardedPolicies:
         server = ColocationServer(
             system.gpu, oracle=system.oracle, policy=policy
         )
-        result = server.run(make_queries(system, 4), [be_app(system)])
+        result = server.serve(make_queries(system, 4), [be_app(system)])
         assert result.n_fused_kernels == 0
         assert result.guard_mode_decisions["reorder"] > 0
 
@@ -430,7 +430,7 @@ class TestFaultedServerRuns:
             system.gpu, oracle=system.oracle, policy=policy,
             faults=FaultInjector(plan),
         )
-        result = server.run(
+        result = server.serve(
             make_queries(system, 3, gap_ms=100.0), [be_app(system)]
         )
         assert result.n_dropped_be == result.n_be_kernels > 0
@@ -445,7 +445,7 @@ class TestFaultedServerRuns:
             faults=FaultInjector(plan),
         )
         queries = make_queries(system, 3, gap_ms=100.0)
-        faulted = server.run(queries, [be_app(system)])
+        faulted = server.serve(queries, [be_app(system)])
         assert faulted.n_delayed_be == faulted.n_be_kernels > 0
         # credited work is the solo duration, not the inflated one
         app = be_app(system)
@@ -487,7 +487,7 @@ class TestBEFaultsReachEveryPart:
             advance(query, end)
 
         monkeypatch.setattr(Query, "advance", note_completion)
-        result = server.run(queries, be_apps)
+        result = server.serve(queries, be_apps)
         return result, priced, completions, be_apps
 
     @pytest.mark.parametrize("name", list_policies())
@@ -572,12 +572,26 @@ class TestSystemIntegration:
 
     def test_perturbation_hook_is_uninstalled_after_run(self, system):
         model = model_by_name("resnet50")
-        policy = system.make_policy("baymax")
+        plan = FaultPlan(predictor_noise=0.2)
         system.run_custom(
-            model, ["fft"], policy, n_queries=5,
-            faults=FaultPlan(predictor_noise=0.2),
+            model, ["fft"], system.make_policy("baymax"), n_queries=5,
+            faults=plan,
         )
         assert system.models.perturb is None
+
+        # a hook the caller installed around the run is put back
+        def outer(name, value):
+            return value
+
+        system.models.perturb = outer
+        try:
+            system.run_custom(
+                model, ["fft"], system.make_policy("baymax"), n_queries=5,
+                faults=plan,
+            )
+            assert system.models.perturb is outer
+        finally:
+            system.models.perturb = None
 
     def test_make_policy_guard_forms(self, system):
         assert system.make_policy("tacker").guard is None

@@ -187,8 +187,8 @@ class TestGeometricMean:
 
 def streaming(latencies, qos=50.0, upper=200.0, bins=4096):
     res = StreamingResult(
-        qos_ms=qos, horizon_ms=100.0, be_names=("fft",),
-        sketch_upper_ms=upper, sketch_bins=bins,
+        qos_ms=qos, horizon_ms=100.0, sketch_upper_ms=upper,
+        sketch_bins=bins,
     )
     for latency in latencies:
         res.note_query_latency("Vgg16", latency)

@@ -1,4 +1,4 @@
-"""Tests for the policy plugin framework: registry, shims, the zoo.
+"""Tests for the policy plugin framework: the registry and the zoo.
 
 Covers the package split's contract: the registry rejects collisions
 and mistypes early (with a did-you-mean), late registrations are
@@ -10,8 +10,6 @@ zoo policy survives a served run under the full invariant auditor.
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 from repro import audit
@@ -21,7 +19,6 @@ from repro.runtime.cluster import ClusterSpec, NodeSpec, serve_cluster
 from repro.runtime.autoscale import AutoscaleSpec
 from repro.runtime.policies import (
     BaymaxPolicy,
-    SchedulerPolicy,
     TackerPolicy,
     list_policies,
     policy_from_name,
@@ -131,29 +128,6 @@ class TestEarlyValidation:
             AutoscaleSpec(epoch_ms=-1)
 
 
-class TestDeprecationShim:
-    def test_schedulingpolicy_alias_warns_once(self):
-        import repro.runtime.policies as pkg
-
-        pkg._ALIAS_WARNED = False
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            alias = pkg.SchedulingPolicy
-            again = pkg.SchedulingPolicy
-        assert alias is SchedulerPolicy and again is SchedulerPolicy
-        deprecations = [
-            w for w in caught
-            if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "SchedulerPolicy" in str(deprecations[0].message)
-
-    def test_runtime_root_reexports_alias(self):
-        import repro.runtime as runtime
-
-        assert runtime.SchedulingPolicy is SchedulerPolicy
-
-
 class TestSplitIsByteIdentical:
     """make_policy (registry path) == direct construction, run for run."""
 
@@ -172,7 +146,7 @@ class TestSplitIsByteIdentical:
             Query(model, i * 12.0, instances) for i in range(20)
         ]
         apps = [be_app(system, "sgemm"), be_app(system, "mriq")]
-        return server.run(queries, apps)
+        return server.serve(queries, apps)
 
     @pytest.mark.parametrize("name,cls", [
         ("baymax", BaymaxPolicy), ("tacker", TackerPolicy),
@@ -266,7 +240,7 @@ class TestZooUnderAudit:
             system.gpu, oracle=system.oracle, policy=policy,
             config=system.config,
         )
-        result = server.run(queries, [small_be])
+        result = server.serve(queries, [small_be])
         assert result.n_spatial_kernels > 0
         assert all(q.done for q in queries)
 

@@ -341,8 +341,7 @@ class TestStreamingFold:
     def test_window_fold_counts_synthetic_stream(self):
         """Hand-fed completions land in known tumbling windows."""
         fold = StreamingResult(
-            qos_ms=50.0, horizon_ms=5000.0, be_names=("fft",),
-            window_ms=1000.0,
+            qos_ms=50.0, horizon_ms=5000.0, window_ms=1000.0,
         )
         # window [0, 1000): clean; [1000, 2000): one violation;
         # [3000, 4000): all violations ([2000, 3000) is empty and must
@@ -372,27 +371,6 @@ class TestStreamingFold:
         # the worst window cannot beat the whole run's p99
         assert stats["worst_window_p99_ms"] >= fold.p99_latency_ms \
             or stats["windows"] == 1
-
-    def test_summary_v1_view_roundtrip(self, both):
-        from repro.runtime.replay import summary_v1_view
-
-        _, fold = both
-        summary = fold.summary_dict()
-        view = summary_v1_view(summary)
-        assert view["schema"] == "repro-replay-summary/1"
-        for key in (
-            "window_ms", "windows", "violation_windows",
-            "worst_window_p99_ms",
-        ):
-            assert key in summary and key not in view
-        # everything else passes through untouched
-        for key, value in view.items():
-            if key != "schema":
-                assert summary[key] == value
-        # a v1 summary passes through unchanged
-        assert summary_v1_view(view) == view
-        with pytest.raises(SchedulingError, match="not a replay"):
-            summary_v1_view({"schema": "repro-replay-summary/9"})
 
     def test_empty_streaming_run_rejected(self, system, library, oracle):
         empty = Trace(("Resnet50",), np.array([]), np.array([]))

@@ -37,7 +37,7 @@ def be_app(system, name="fft"):
     )
 
 
-def run(system, policy_cls, queries, apps, **kwargs):
+def run(system, policy_cls, queries, apps, horizon_ms=None, **kwargs):
     if policy_cls is TackerPolicy:
         policy = TackerPolicy(
             system.gpu, system.models, 50.0, system.artifacts
@@ -47,7 +47,7 @@ def run(system, policy_cls, queries, apps, **kwargs):
     server = ColocationServer(
         system.gpu, oracle=system.oracle, policy=policy, **kwargs
     )
-    return server.run(queries, apps)
+    return server.serve(queries, apps, horizon_ms)
 
 
 class TestBasicRuns:
@@ -85,6 +85,33 @@ class TestBasicRuns:
         queries = make_queries(system, 3, gap_ms=40.0)
         result = run(system, BaymaxPolicy, queries, [be_app(system)])
         assert result.horizon_ms == pytest.approx(2 * 40.0 + 50.0)
+
+
+class TestOneEntryPoint:
+    @pytest.mark.parametrize("policy_cls", [BaymaxPolicy, TackerPolicy])
+    def test_sorted_list_equals_in_order_stream(self, gpu, policy_cls):
+        """Without a horizon ``serve`` sorts the queries and derives the
+        horizon; an in-order iterator with that horizon serves the same
+        run lazily."""
+        results = []
+        for streamed in (False, True):
+            fresh = TackerSystem(gpu=gpu)
+            fresh.prepare_fusion("tgemm_l", "fft")
+            queries = make_queries(fresh, 12, gap_ms=20.0)
+            horizon = queries[-1].arrival_ms + 50.0
+            results.append(run(
+                fresh, policy_cls,
+                iter(queries) if streamed else queries[::-1],
+                [be_app(fresh)], horizon if streamed else None,
+                record_kernels=True,
+            ))
+        listed, streamed = results
+        assert streamed.horizon_ms == listed.horizon_ms
+        assert streamed.latencies_ms == listed.latencies_ms
+        assert streamed.be_work_ms == listed.be_work_ms
+        assert streamed.kernel_counts() == listed.kernel_counts()
+        assert streamed.executed == listed.executed
+        assert streamed.end_ms == listed.end_ms
 
 
 class TestFusedExecution:

@@ -49,7 +49,7 @@ class TestOfflinePreparation:
 class TestRunPair:
     def test_unknown_policy_rejected(self, system):
         with pytest.raises(SchedulingError):
-            system._make_policy("laius")
+            system.make_policy("laius")
 
     def test_small_pair_run(self, system):
         outcome = system.run_pair("resnet50", "fft", n_queries=15)

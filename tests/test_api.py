@@ -1,17 +1,11 @@
 """The stable ``repro.api`` facade and the RunConfig consolidation."""
 
-import warnings
-
 import pytest
 
 from repro import api
 from repro.config import RTX2080TI
 from repro.errors import ConfigError
-from repro.runtime.runconfig import (
-    DEFAULT_RUN_CONFIG,
-    RunConfig,
-    reset_legacy_warnings,
-)
+from repro.runtime.runconfig import DEFAULT_RUN_CONFIG, RunConfig
 from repro.runtime.system import TackerSystem
 
 
@@ -72,24 +66,3 @@ class TestKeywordOnlySignatures:
     def test_server_rejects_positional_knobs(self):
         with pytest.raises(TypeError):
             api.ColocationServer(RTX2080TI, object(), object())
-
-
-class TestDeprecationShim:
-    def test_legacy_kwargs_warn_once_per_owner(self):
-        reset_legacy_warnings()
-        with pytest.warns(DeprecationWarning, match="RunConfig"):
-            system = TackerSystem(qos_ms=45.0)
-        assert system.qos_ms == 45.0
-        assert system.config.qos_ms == 45.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            again = TackerSystem(qos_ms=45.0)  # warned already: silent
-        assert again.config.qos_ms == 45.0
-
-    def test_config_and_legacy_kwargs_compose(self):
-        reset_legacy_warnings()
-        with pytest.warns(DeprecationWarning):
-            system = TackerSystem(
-                config=RunConfig(load=0.9), qos_ms=42.0
-            )
-        assert system.config == RunConfig(load=0.9, qos_ms=42.0)
