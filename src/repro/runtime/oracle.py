@@ -116,16 +116,29 @@ class OracleStore:
     def for_gpu(
         cls, gpu: GPUConfig, directory: Union[str, Path, None] = None
     ) -> Optional["OracleStore"]:
-        """The store file for one GPU fingerprint, or None if disabled."""
+        """The process's store for one GPU fingerprint, or None if disabled.
+
+        One parsed instance per resolved path, re-read only when another
+        process has rewritten the file: the store only memoizes simulator
+        results, so every system of the process can share it.
+        """
         if not persistence_enabled():
             return None
         base = Path(directory) if directory else default_cache_dir()
         if base is None:
             return None
-        return cls(base / f"oracle-{gpu_fingerprint(gpu)}.json")
+        path = base / f"oracle-{gpu_fingerprint(gpu)}.json"
+        key = path.resolve()
+        store = _STORES.get(key)
+        if store is None:
+            store = _STORES[key] = cls(path)
+        elif store._stamp != _file_stamp(path):
+            store.load()  # another process saved entries since
+        return store
 
     def load(self) -> None:
-        """Read the store; a missing or corrupted file starts empty."""
+        """Merge the file's entries in; a missing or corrupted file adds none."""
+        self._stamp = _file_stamp(self.path)
         try:
             raw = json.loads(self.path.read_text())
             if raw.get("schema") != STORE_SCHEMA:
@@ -134,33 +147,26 @@ class OracleStore:
             fused = raw["fused"]
             if not isinstance(solo, dict) or not isinstance(fused, dict):
                 raise ValueError("malformed sections")
-            self.solo = {str(k): float(v) for k, v in solo.items()}
-            self.fused = {
-                str(k): [float(x) for x in v] for k, v in fused.items()
-            }
+            solo = {str(k): float(v) for k, v in solo.items()}
+            fused = {str(k): [float(x) for x in v] for k, v in fused.items()}
         except (OSError, ValueError, KeyError, TypeError):
             # Missing, unreadable or stale-schema stores fall back to
             # re-simulation; the next save rewrites them.
-            self.solo = {}
-            self.fused = {}
+            return
+        self.solo = {**solo, **self.solo}
+        self.fused = {**fused, **self.fused}
 
     def save(self) -> None:
         """Merge this process's entries into the on-disk file atomically."""
         if not self._dirty:
             return
         try:
-            on_disk = OracleStore.__new__(OracleStore)
-            on_disk.path = self.path
-            on_disk.solo = {}
-            on_disk.fused = {}
-            on_disk.load()
-            merged_solo = {**on_disk.solo, **self.solo}
-            merged_fused = {**on_disk.fused, **self.fused}
+            self.load()
             payload = json.dumps(
                 {
                     "schema": STORE_SCHEMA,
-                    "solo": merged_solo,
-                    "fused": merged_fused,
+                    "solo": self.solo,
+                    "fused": self.fused,
                 },
                 sort_keys=True,
             )
@@ -175,22 +181,28 @@ class OracleStore:
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
-            self.solo = merged_solo
-            self.fused = merged_fused
+            self._stamp = _file_stamp(self.path)
             self._dirty = False
         except OSError:
             # Persistence is an optimization; never let it break a run.
             pass
 
-    def merge(self, other: "OracleStore") -> None:
-        """Absorb another store's entries (parallel-worker join)."""
-        if other.solo or other.fused:
-            self.solo.update(other.solo)
-            self.fused.update(other.fused)
-            self._dirty = True
-
     def __len__(self) -> int:
         return len(self.solo) + len(self.fused)
+
+
+#: :meth:`OracleStore.for_gpu`'s instances, by resolved path
+_STORES: dict[Path, OracleStore] = {}
+
+
+def _file_stamp(path: Path) -> Optional[tuple]:
+    """Identity of a store file's contents, None when there is none: every
+    save replaces the file, so a save by any process changes it."""
+    try:
+        stat = path.stat()
+    except OSError:
+        return None
+    return stat.st_ino, stat.st_mtime_ns, stat.st_size
 
 
 class DurationOracle:

@@ -9,7 +9,8 @@ thread-block (PTB) transforms: when both fit together the makespan
 beats the serial sum, and that profiled makespan is the launch's
 duration — so predictions match the served ground truth by
 construction (the profiling-table posture of the offline HFuse
-compiler).
+compiler).  Like that compiler, the policy profiles each ordered pair
+of BE heads once and reads the table on every later decision.
 
 QoS: the whole horizontally-fused launch occupies the GPU before the
 LC query's next kernel, so one Eq. 9 admission covers the pair — the
@@ -50,24 +51,47 @@ class HFusePolicy(SchedulerPolicy):
         guard: Optional[MispredictGuard] = None,
     ):
         """``ptb`` maps a kernel name to its cached PTB transform (the
-        bound :meth:`TackerSystem.ptb`); kernels the transform rejects
-        are remembered and never retried."""
+        bound :meth:`TackerSystem.ptb`); a pair whose kernel the
+        transform rejects is remembered in the pair table."""
         super().__init__(gpu, models, qos_ms, qos_guard=qos_guard,
                          guard=guard)
         self.oracle = oracle
         self._ptb = ptb
-        self._unfusable: set[str] = set()
+        #: (kernel a, grid a, kernel b, grid b) -> (PTB launch a, PTB
+        #: launch b, co-run ms, serial ms), or None when the pair cannot
+        #: co-reside or a kernel has no PTB form.  It caches profiled
+        #: ground truth, not predictions, so no model version guards it.
+        self._pairs: dict[tuple, Optional[tuple]] = {}
 
     def _persistent_launch(self, instance: KernelInstance):
         """The instance's PTB launch, or None when untransformable."""
-        if instance.name in self._unfusable:
-            return None
         try:
             kernel = self._ptb(instance.name)
         except TackerError:
-            self._unfusable.add(instance.name)
             return None
         return kernel.launch(instance.grid)
+
+    def _pair(self, a: KernelInstance, b: KernelInstance):
+        """The ordered pair of BE heads, priced on first use."""
+        key = (a.name, a.grid, b.name, b.grid)
+        if key in self._pairs:
+            return self._pairs[key]
+        entry = None
+        launch_a = self._persistent_launch(a)
+        launch_b = None if launch_a is None else self._persistent_launch(b)
+        if launch_b is not None:
+            profile = self.oracle.corun_policy(
+                "concurrent", launch_a, launch_b
+            )
+            total_ms = self.gpu.cycles_to_ms(profile.duration_cycles)
+            solo_sum_ms = self.gpu.cycles_to_ms(
+                profile.solo_a_cycles + profile.solo_b_cycles
+            )
+            # combined occupancy that does not fit degrades to serial
+            if total_ms < _OVERLAP_MARGIN * solo_sum_ms:
+                entry = (launch_a, launch_b, total_ms, solo_sum_ms)
+        self._pairs[key] = entry
+        return entry
 
     def _hfused_action(self, be_apps, thr_ms):
         """The first rotation pair that genuinely co-resides and fits.
@@ -76,22 +100,12 @@ class HFusePolicy(SchedulerPolicy):
         """
         apps = self._be_rotation(be_apps)
         for i in range(len(apps)):
-            launch_a = self._persistent_launch(apps[i].head)
-            if launch_a is None:
-                continue
+            head_a = apps[i].head
             for j in range(i + 1, len(apps)):
-                launch_b = self._persistent_launch(apps[j].head)
-                if launch_b is None:
+                pair = self._pair(head_a, apps[j].head)
+                if pair is None:
                     continue
-                profile = self.oracle.corun_policy(
-                    "concurrent", launch_a, launch_b
-                )
-                total_ms = self.gpu.cycles_to_ms(profile.duration_cycles)
-                solo_sum_ms = self.gpu.cycles_to_ms(
-                    profile.solo_a_cycles + profile.solo_b_cycles
-                )
-                if total_ms >= _OVERLAP_MARGIN * solo_sum_ms:
-                    continue  # combined occupancy did not fit
+                launch_a, launch_b, total_ms, solo_sum_ms = pair
                 if thr_ms is not None and total_ms >= thr_ms:
                     continue
                 self._rr += 1

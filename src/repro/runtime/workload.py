@@ -8,6 +8,7 @@ Parboil kernels or the DNN-training iteration sequences.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -161,7 +162,9 @@ def _p99_sojourn_ms(
 
     LC queries execute serially and non-preemptively, so with no BE
     co-runner the service time is deterministic (= the solo latency)
-    and the Lindley recursion gives exact sojourn times.
+    and the Lindley recursion gives exact sojourn times.  The recursion
+    is one fold over Python floats: the same IEEE operations in the
+    same order as a per-element loop, without numpy-scalar overhead.
     """
     key = (rate_per_ms, solo_ms, seed, n_queries, process)
     cached = _P99_MEMO.get(key)
@@ -169,11 +172,16 @@ def _p99_sojourn_ms(
         return cached
     gaps = arrival_gaps(rate_per_ms, n_queries, seed, process)
     arrivals = np.cumsum(gaps)
-    finish = 0.0
-    sojourns = np.empty(n_queries)
-    for i, arrival in enumerate(arrivals):
-        finish = max(arrival, finish) + solo_ms
-        sojourns[i] = finish - arrival
+    solo = float(solo_ms)
+    finishes = itertools.accumulate(
+        arrivals.tolist(),
+        lambda finish, arrival: (
+            arrival if arrival > finish else finish
+        ) + solo,
+        initial=0.0,
+    )
+    next(finishes)  # the initial idle server
+    sojourns = np.fromiter(finishes, float, n_queries) - arrivals
     result = float(np.percentile(sojourns, 99))
     _P99_MEMO[key] = result
     return result

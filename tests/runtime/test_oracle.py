@@ -111,9 +111,7 @@ class TestCorunPolicyCache:
         oracle.flush()
 
         # A fresh process answers from disk, policy label restored.
-        oracle2 = DurationOracle(
-            gpu, store=OracleStore.for_gpu(gpu, directory=tmp_path)
-        )
+        oracle2 = DurationOracle(gpu, store=OracleStore(store.path))
         again = oracle2.corun_policy("concurrent", a, b)
         assert oracle2.misses == 0
         assert oracle2.persistent_hits == 1
@@ -137,8 +135,8 @@ class TestPersistence:
         assert store.path.exists()
 
         # A fresh process (fresh store + oracle) answers from disk.
-        reloaded = OracleStore.for_gpu(gpu, directory=tmp_path)
-        assert reloaded.path == store.path
+        reloaded = OracleStore(store.path)
+        assert reloaded is not store
         assert len(reloaded) == 1
         oracle2 = DurationOracle(gpu, store=reloaded)
         assert oracle2.solo_cycles(kernel) == cycles
@@ -151,15 +149,39 @@ class TestPersistence:
         result = oracle.fused(fused_kernel, 1000, 2000)
         oracle.flush()
 
-        oracle2 = DurationOracle(
-            gpu, store=OracleStore.for_gpu(gpu, directory=tmp_path)
-        )
+        oracle2 = DurationOracle(gpu, store=OracleStore(store.path))
         again = oracle2.fused(fused_kernel, 1000, 2000)
         assert again.duration_cycles == result.duration_cycles
         assert again.solo_a_cycles == result.solo_a_cycles
         assert again.finish_b_cycles == result.finish_b_cycles
         assert oracle2.persistent_hits == 1
         assert oracle2.misses == 0
+
+    def test_one_store_per_path(self, gpu, v100, tmp_path, monkeypatch):
+        store = OracleStore.for_gpu(gpu, directory=tmp_path)
+        assert OracleStore.for_gpu(gpu, directory=tmp_path) is store
+        # another spelling of the same directory resolves to one file
+        monkeypatch.chdir(tmp_path)
+        assert OracleStore.for_gpu(gpu, directory=".") is store
+        # every system of the process sees what any of them simulated
+        DurationOracle(gpu, store=store).solo_cycles(mriq())
+        shared = DurationOracle(
+            gpu, store=OracleStore.for_gpu(gpu, directory=tmp_path)
+        )
+        shared.solo_cycles(mriq())
+        assert (shared.misses, shared.persistent_hits) == (0, 1)
+        # another process's save is read in; unsaved entries stay
+        elsewhere = DurationOracle(gpu, store=OracleStore(store.path))
+        elsewhere.solo_cycles(fft())
+        elsewhere.flush()
+        assert OracleStore.for_gpu(gpu, directory=tmp_path) is store
+        assert len(store) == 2 and store._dirty
+
+        other_dir = OracleStore.for_gpu(gpu, directory=tmp_path / "other")
+        other_gpu = OracleStore.for_gpu(v100, directory=tmp_path)
+        assert other_dir is not store and other_gpu is not store
+        assert other_gpu.path != store.path
+        assert len(other_dir) == len(other_gpu) == 0
 
     def test_gpu_config_change_invalidates(self, gpu, tmp_path):
         store = OracleStore.for_gpu(gpu, directory=tmp_path)

@@ -6,7 +6,9 @@ table of Eq. 8 quotes; both tables hold one model version's values.
 These tests pin that the tables change no decision: a replay whose
 predictions all go through the models (an identity perturbation
 bypasses the tables) serves exactly what the memoized replay serves,
-and a refit or a bundle load re-prices the next decision.
+and a refit or a bundle load re-prices the next decision.  HFuse's
+table of profiled pair co-runs is pinned the same way, against a
+replay that prices every pair afresh.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import json
 import pytest
 
 from repro.models.zoo import model_by_name
-from repro.runtime.policies import TackerPolicy, list_policies
+from repro.runtime.policies import HFusePolicy, TackerPolicy, list_policies
 from repro.runtime.query import BEApplication, KernelInstance, Query
 from repro.runtime.replay import load_scenario, serve_trace, synthesize_trace
 from repro.runtime.system import TackerSystem
@@ -78,6 +80,33 @@ class TestMemoizedEqualsCallThrough:
         assert memoized.n_fused_kernels > 0
         if policy_name == "multifuse":
             assert memoized.n_chain_kernels > 0
+
+
+class TestHFusePairTable:
+    @staticmethod
+    def serve(gpu):
+        """The folded and the listed ``hfuse`` replay."""
+        return (
+            replay(gpu, "hfuse", None),
+            replay(gpu, "hfuse", None, streaming=False, record_kernels=True),
+        )
+
+    def test_fresh_pricing_serves_the_same(self, gpu, monkeypatch):
+        folded, listed = self.serve(gpu)
+        decide = HFusePolicy.decide
+
+        def decide_afresh(policy, *args):
+            policy._pairs.clear()
+            return decide(policy, *args)
+
+        monkeypatch.setattr(HFusePolicy, "decide", decide_afresh)
+        fresh_folded, fresh_listed = self.serve(gpu)
+        assert folded.summary_dict() == fresh_folded.summary_dict()
+        assert folded.kernel_counts() == fresh_folded.kernel_counts()
+        assert listed.kernel_counts() == fresh_listed.kernel_counts()
+        assert listed.executed == fresh_listed.executed
+        # the table is exercised: pairs co-reside and launch
+        assert listed.n_hfused_kernels > 0
 
 
 @pytest.fixture()

@@ -5,6 +5,8 @@ import pytest
 
 from repro.errors import ConfigError, SchedulingError
 from repro.models.zoo import model_by_name
+from repro.runtime import workload
+from repro.runtime.replay import load_scenario
 from repro.runtime.workload import (
     BE_INPUT_SCALES,
     PoissonArrivals,
@@ -65,6 +67,69 @@ class TestPeakCalibration:
     def test_peak_load_qps_guard(self):
         with pytest.raises(ConfigError):
             peak_load_qps(0.0)
+
+
+def reference_p99(rate_per_ms, solo_ms, seed, n_queries, process):
+    """The Lindley recursion as a per-element loop over numpy scalars."""
+    arrivals = np.cumsum(arrival_gaps(rate_per_ms, n_queries, seed, process))
+    finish = 0.0
+    sojourns = np.empty(n_queries)
+    for i, arrival in enumerate(arrivals):
+        finish = max(arrival, finish) + solo_ms
+        sojourns[i] = finish - arrival
+    return float(np.percentile(sojourns, 99))
+
+
+def reference_peak(solo_ms, qos_ms, process, seed=7, n_queries=4000):
+    """``calibrate_peak_rate``'s bisection over :func:`reference_p99`."""
+    lo, hi = 0.0, 1.0 / solo_ms
+    for _ in range(30):
+        mid = (lo + hi) / 2
+        if mid == 0.0:
+            break
+        if reference_p99(mid, solo_ms, seed, n_queries, process) <= qos_ms:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+class TestLindleyFold:
+    """The calibration's fold performs the loop's IEEE operations in
+    the loop's order, so every calibrated rate is bit-identical."""
+
+    @pytest.fixture(autouse=True)
+    def cold_memos(self, monkeypatch):
+        monkeypatch.setattr(workload, "_P99_MEMO", {})
+        monkeypatch.setattr(workload, "_PEAK_RATE_MEMO", {})
+
+    def assert_exact(self, rate, solo_ms, process):
+        workload._P99_MEMO.clear()
+        fold = workload._p99_sojourn_ms(rate, solo_ms, 7, 4000, process)
+        assert fold == reference_p99(rate, solo_ms, 7, 4000, process)
+
+    @pytest.mark.parametrize("process", ("paced", "poisson"))
+    def test_scenario_services_equal_the_loop(self, library, oracle,
+                                              process):
+        cases = set()
+        for name in ("steady", "diurnal"):
+            scenario = load_scenario(name)
+            for service in scenario.lc_services:
+                solo = solo_query_ms(model_by_name(service), library, oracle)
+                cases.add((solo, scenario.qos_ms))
+        for solo, qos in sorted(cases):
+            for fraction in np.linspace(0.02, 0.999, 9):
+                self.assert_exact(fraction / solo, solo, process)
+            peak = calibrate_peak_rate(solo, qos, process=process)
+            for rate in (np.nextafter(peak, 0.0), peak,
+                         np.nextafter(peak, np.inf)):
+                self.assert_exact(float(rate), solo, process)
+
+    @pytest.mark.parametrize("process", ("paced", "poisson"))
+    def test_calibrated_peak_equals_the_loop(self, process):
+        assert calibrate_peak_rate(20.0, 50.0, process=process) == (
+            reference_peak(20.0, 50.0, process)
+        )
 
 
 class TestPoissonArrivals:

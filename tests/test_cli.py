@@ -41,6 +41,22 @@ class TestRunPair(object):
         assert "QoS satisfied: yes" in out
 
 
+class TestRunCluster:
+    def test_no_sweep_serves_the_fleet_only(self, tmp_path, monkeypatch,
+                                            capsys):
+        monkeypatch.chdir(tmp_path)
+        code = main(["run-cluster", "--nodes", "2", "--queries", "40",
+                     "--no-sweep"])
+        out = capsys.readouterr().out
+        assert code == 0
+        rows = [line.split()[0] for line in out.splitlines()
+                if line.startswith("node")]
+        assert rows == ["node", "node0", "node1"]  # the header, two nodes
+        assert "fleet: be work" in out
+        # without the sweep no results table is written
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestTrace:
     def test_trace_export(self, tmp_path, capsys):
         path = tmp_path / "trace.json"
