@@ -74,12 +74,9 @@ from .runtime.policies import (
     register_policy,
 )
 from .runtime.replay import (
-    RecordedTraceSource,
     Scenario,
     StreamingResult,
-    SyntheticTraceSource,
     Trace,
-    TraceSource,
     list_scenarios,
     load_scenario,
     run_scenario,
@@ -162,9 +159,6 @@ __all__ = [
     "run_autoscale",
     # trace replay + the scenario library
     "Trace",
-    "TraceSource",
-    "RecordedTraceSource",
-    "SyntheticTraceSource",
     "Scenario",
     "StreamingResult",
     "list_scenarios",

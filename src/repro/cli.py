@@ -586,7 +586,7 @@ def _cmd_run_autoscale(args) -> int:
 
     refit = None
     if args.refit_bias is not None:
-        refit = RefitPlan(start_epoch=1, bias=args.refit_bias, noise=0.1)
+        refit = RefitPlan(bias=args.refit_bias, noise=0.1)
     slo_rules = ()
     if args.slo_rules is not None:
         from .runtime.replay import load_scenario
@@ -656,7 +656,7 @@ def _cmd_run_scenario(args) -> int:
     import time
 
     from .runtime.replay import (
-        RecordedTraceSource,
+        Trace,
         list_scenarios,
         load_scenario,
         run_scenario,
@@ -688,9 +688,9 @@ def _cmd_run_scenario(args) -> int:
     system = TackerSystem(gpu=gpu_preset(args.gpu), config=config)
     start = time.perf_counter()
     if args.replay is not None:
-        trace = RecordedTraceSource(args.replay).trace(
-            system.library, system.oracle, n_queries=args.queries
-        )
+        trace = Trace.read_jsonl(args.replay)
+        if args.queries is not None:
+            trace = trace.prefix(args.queries)
     else:
         trace = synthesize_trace(
             scenario, system.library, system.oracle, n_queries=n_queries

@@ -256,7 +256,7 @@ def run(
             epoch_ms=2000.0,
             scaler=ScalerConfig(policy="static"),
             refit=RefitPlan(
-                start_epoch=1, bias=bias, noise=noise,
+                bias=bias, noise=noise,
                 batch=demo_batch, regression_pct=5.0,
             ),
         )

@@ -67,10 +67,6 @@ class Timeline:
             self.intervals.append(Interval(self._open_start, time))
         self._open_start = None
 
-    @property
-    def is_open(self) -> bool:
-        return self._open_start is not None
-
     def add(self, start: float, end: float) -> None:
         """Append a closed interval directly."""
         if end > start:

@@ -171,9 +171,6 @@ class KernelIR:
             )
         return launch
 
-    def with_body(self, body: tuple[Segment, ...]) -> "KernelIR":
-        return replace(self, body=body)
-
     def scaled_work(self, factor: float) -> "KernelIR":
         """A variant whose default input is ``factor`` × as much work."""
         return replace(

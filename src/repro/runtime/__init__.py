@@ -75,12 +75,9 @@ from .autoscale import (
 from .faults import NodeFault, NodeFaultPlan
 from .replay import (
     NAMED_SCENARIOS,
-    RecordedTraceSource,
     Scenario,
     StreamingResult,
-    SyntheticTraceSource,
     Trace,
-    TraceSource,
     list_scenarios,
     load_scenario,
     run_scenario,
@@ -137,9 +134,6 @@ __all__ = [
     "NodeFaultPlan",
     "NAMED_SCENARIOS",
     "Trace",
-    "TraceSource",
-    "RecordedTraceSource",
-    "SyntheticTraceSource",
     "Scenario",
     "StreamingResult",
     "list_scenarios",

@@ -8,24 +8,26 @@ the trough, and one provisioned for the mean violates QoS at the peak.
 
 This module closes the loop.  :func:`run_autoscale` runs a
 deterministic control loop on the *simulated* clock: the control span
-is cut into fixed epochs, each epoch's arrivals are routed online
-across the live replicas (the same :class:`~repro.runtime.cluster.
-ReplicaState` / :func:`~repro.runtime.cluster.routing_strategy`
-machinery the static dispatcher uses), every replica simulates its
-epoch on a fresh :class:`~repro.runtime.system.TackerSystem` (fanned
-out via ``parallel_map``), and the controller then observes the epoch
-— demand, routed utilization, Eq. 9 dispatcher slack, guard-mode
-decision counts, and the **SLO burn rate** — and re-sizes the fleet
-for the next epoch under a pluggable :class:`Scaler` policy.
+is cut into fixed epochs, and each epoch runs four phases.
+:func:`route_epoch` routes the epoch's arrivals online across the live
+replicas (through :meth:`~repro.runtime.cluster.RoutingStrategy.route`,
+the routing step the static dispatcher uses); :func:`serve_epoch`
+simulates every replica's epoch on a fresh
+:class:`~repro.runtime.system.TackerSystem` (fanned out via
+``parallel_map``); :func:`observe_epoch` folds the epoch into one
+:class:`EpochReport` — demand, routed utilization, Eq. 9 dispatcher
+slack, guard-mode decision counts, and the **SLO burn rate** — and
+:func:`act` re-sizes the fleet for the next epoch under a pluggable
+:class:`Scaler` policy.
 
 Burn rate is the standard SRE error-budget derivative: a p99 SLO at
-target ``qos_ms`` budgets ``slo_budget`` (default 1%) of queries above
-the target, so one epoch's burn is::
+target ``qos_ms`` budgets :data:`SLO_BUDGET` (1%) of queries above the
+target, so one epoch's burn is::
 
-    burn = (epoch violations / epoch queries) / slo_budget
+    burn = (epoch violations / epoch queries) / SLO_BUDGET
 
 ``burn == 1`` consumes budget exactly as fast as it accrues; the
-burn-rate scaler treats ``burn >= up_burn`` (or any guard-mode
+burn-rate scaler treats ``burn >= UP_BURN`` (or any guard-mode
 degradation) as a scale-up signal regardless of what the demand model
 says, and refuses to drain until the fleet has stayed calm for a
 cooldown — the classic fast-up / slow-down asymmetry.
@@ -52,16 +54,17 @@ inside a worker; worker tasks are pure functions of their spec).
 
 from __future__ import annotations
 
+import bisect
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from ..config import gpu_preset
 from ..errors import ConfigError, SchedulingError
 from ..models.zoo import model_by_name
 from .cluster import (
-    DEFAULT_OCCURRENCE_THRESHOLD,
     ClusterManager,
     ReplicaState,
     ROUTING_STRATEGIES,
@@ -87,42 +90,47 @@ _SYNTH_MARGIN = 2.0
 
 # -- configuration ------------------------------------------------------------
 
+#: Bounds every scaler's target is clamped to.
+MIN_NODES = 1
+MAX_NODES = 256
+#: The capacity model: instantaneous demand units one replica may carry
+#: (1 unit = one node's share of the fleet-level rate).  The scenario
+#: library is calibrated well below a replica's saturation point (a unit
+#: is ``rate_scale`` of each service's 80%-load rate), so packing above
+#: 1.0 is what creates headroom for savings; the value stays under the
+#: per-node load the static fleet itself reaches at the diurnal crest,
+#: keeping the packed fleet's tail no worse than static's.
+PACK_UNITS = 1.45
+#: fraction of queries the p99 SLO budgets above the target
+SLO_BUDGET = 0.01
+#: burn rate at/above which an epoch is "hot" (immediate scale-up)
+UP_BURN = 1.0
+#: burn rate at/below which an epoch counts toward the cooldown
+DOWN_BURN = 0.25
+#: consecutive calm epochs required before a drain step
+COOLDOWN_EPOCHS = 2
+#: most replicas one drain step removes
+MAX_STEP_DOWN = 8
+#: reactive policy: utilization band around the packed target,
+#: relative to ``PACK_UNITS`` worth of per-node utilization
+UTIL_HI_RATIO = 1.10
+UTIL_LO_RATIO = 0.60
+#: epoch in which a refit's canary runs
+REFIT_START_EPOCH = 1
+#: base seed of a refit's per-node-epoch prediction perturbation
+REFIT_SEED = 2022
+
 
 @dataclass(frozen=True)
 class ScalerConfig:
-    """Fleet-sizing policy knobs.
-
-    ``pack_units`` is the capacity model: how many node-worths of
-    calibrated scenario traffic (1 unit = one node's share of the
-    fleet-level rate) a single replica may carry.  The scenario library
-    is calibrated well below a replica's saturation point (a unit is
-    ``rate_scale`` of each service's 80%-load rate), so packing above
-    1.0 is what creates headroom for savings; the default stays under
-    the per-node load the static fleet itself reaches at the diurnal
-    crest, keeping the packed fleet's tail no worse than static's.
-    """
+    """Fleet-sizing policy knobs (the sizing constants above are shared
+    by every policy)."""
 
     policy: str = "burnrate"
-    min_nodes: int = 1
-    max_nodes: int = 256
-    #: instantaneous demand units one replica may carry
-    pack_units: float = 1.45
     #: replicas kept beyond the packed demand (also the hysteresis band)
     headroom_nodes: int = 1
-    #: fraction of queries the p99 SLO budgets above the target
-    slo_budget: float = 0.01
-    #: burn rate at/above which an epoch is "hot" (immediate scale-up)
-    up_burn: float = 1.0
-    #: burn rate at/below which an epoch counts toward the cooldown
-    down_burn: float = 0.25
-    #: consecutive calm epochs required before a drain step
-    cooldown_epochs: int = 2
+    #: most replicas one scale-up step adds
     max_step_up: int = 24
-    max_step_down: int = 8
-    #: reactive policy: utilization band around the packed target,
-    #: relative to ``pack_units`` worth of per-node utilization
-    util_hi_ratio: float = 1.10
-    util_lo_ratio: float = 0.60
 
     def __post_init__(self) -> None:
         if self.policy not in SCALER_POLICIES:
@@ -130,24 +138,10 @@ class ScalerConfig:
                 f"unknown scaler policy {self.policy!r}; "
                 f"choose from {SCALER_POLICIES}"
             )
-        if self.min_nodes < 1:
-            raise ConfigError("min_nodes must be >= 1")
-        if self.max_nodes < self.min_nodes:
-            raise ConfigError("max_nodes must be >= min_nodes")
-        if self.pack_units <= 0:
-            raise ConfigError("pack_units must be positive")
         if self.headroom_nodes < 0:
             raise ConfigError("headroom_nodes must be >= 0")
-        if not 0 < self.slo_budget <= 1:
-            raise ConfigError("slo_budget must be in (0, 1]")
-        if self.down_burn > self.up_burn:
-            raise ConfigError("down_burn must not exceed up_burn")
-        if self.cooldown_epochs < 1:
-            raise ConfigError("cooldown_epochs must be >= 1")
-        if self.max_step_up < 1 or self.max_step_down < 1:
-            raise ConfigError("scale steps must be >= 1")
-        if self.util_lo_ratio >= self.util_hi_ratio:
-            raise ConfigError("util_lo_ratio must be below util_hi_ratio")
+        if self.max_step_up < 1:
+            raise ConfigError("max_step_up must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -159,21 +153,18 @@ class RefitPlan:
     how the refit model's predictions deviate from the incumbent's (a
     benign refit has ``bias`` near 1 and small ``noise``; a botched one
     systematically under-predicts).  The canary node runs it for one
-    epoch; a p99 regression beyond ``regression_pct`` of the rest of
-    the fleet — or the canary violating QoS while the fleet does not —
-    aborts the rollout, otherwise it proceeds ``batch`` nodes/epoch.
+    epoch (epoch :data:`REFIT_START_EPOCH`); a p99 regression beyond
+    ``regression_pct`` of the rest of the fleet — or the canary
+    violating QoS while the fleet does not — aborts the rollout,
+    otherwise it proceeds ``batch`` nodes/epoch.
     """
 
-    start_epoch: int = 1
     bias: float = 1.0
     noise: float = 0.0
     regression_pct: float = 15.0
     batch: int = 4
-    seed: int = 2022
 
     def __post_init__(self) -> None:
-        if self.start_epoch < 0:
-            raise ConfigError("start_epoch must be >= 0")
         if self.bias <= 0:
             raise ConfigError("bias must be positive")
         if self.noise < 0:
@@ -187,7 +178,7 @@ class RefitPlan:
         """The refit's prediction perturbation, reseeded per node-epoch
         so refit nodes do not share one noise stream."""
         return FaultPlan(
-            seed=self.seed + 1_000_003 * node + epoch,
+            seed=REFIT_SEED + 1_000_003 * node + epoch,
             predictor_bias=self.bias,
             predictor_noise=self.noise,
         )
@@ -211,7 +202,6 @@ class AutoscaleSpec:
     guard: bool = True
     node_faults: NodeFaultPlan = NodeFaultPlan()
     refit: Optional[RefitPlan] = None
-    occurrence_threshold: int = DEFAULT_OCCURRENCE_THRESHOLD
     #: SLO alert rules the (serial) controller evaluates on fleet-level
     #: epoch aggregates; empty = monitoring off, a true no-op
     slo_rules: tuple = ()
@@ -235,19 +225,25 @@ class AutoscaleSpec:
         return int(math.ceil(self.span_ms / self.epoch_ms))
 
 
-# -- scalers ------------------------------------------------------------------
+# -- the epoch record ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class EpochObservation:
-    """What the controller saw in one finished epoch."""
+class EpochReport:
+    """One epoch as the controller observed it: what the scalers read,
+    the run reports and the monitor records.
+
+    Derived values are properties, never fields: the field set is what
+    ``dataclasses.asdict`` digests.
+    """
 
     epoch: int
-    active_nodes: int
+    start_ms: float
+    end_ms: float
+    nodes: tuple
     n_arrivals: int
     #: arrivals over one node-worth of calibrated rate, this epoch
     demand_units: float
-    prev_demand_units: float
     #: dispatcher-predicted utilization: routed service ms over capacity
     routed_util: float
     #: mean Eq. 9 slack the dispatcher granted arriving queries
@@ -257,10 +253,26 @@ class EpochObservation:
     burn_rate: float
     #: guard decisions that degraded fusion (reorder/exclusive)
     guard_events: int
+    be_work_ms: float
+    p99_ms: float
+    n_rerouted: int
+    crashed: tuple
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.nodes)
+
+    @property
+    def active_nodes(self) -> int:
+        """Replicas left once this epoch's crashed nodes leave."""
+        return len(self.nodes) - len(self.crashed)
+
+
+# -- scalers ------------------------------------------------------------------
 
 
 class Scaler(ABC):
-    """Maps one epoch's observation to the next epoch's fleet size."""
+    """Maps one epoch's report to the next epoch's fleet size."""
 
     name = "?"
 
@@ -272,7 +284,7 @@ class Scaler(ABC):
         self.unit_util = unit_util
 
     @abstractmethod
-    def target(self, obs: EpochObservation) -> "tuple[int, str]":
+    def target(self, report: EpochReport) -> "tuple[int, str]":
         """(next fleet size, one-line reason) — before min/max clamping."""
 
     def initial_nodes(self) -> int:
@@ -286,7 +298,7 @@ class StaticScaler(Scaler):
 
     name = "static"
 
-    def target(self, obs):
+    def target(self, report):
         return self.rate_nodes, "static provisioning"
 
 
@@ -300,19 +312,19 @@ class ReactiveScaler(Scaler):
 
     name = "reactive"
 
-    def target(self, obs):
+    def target(self, report):
         cfg = self.config
-        util_target = cfg.pack_units * self.unit_util
-        active = obs.active_nodes
+        util_target = PACK_UNITS * self.unit_util
+        active = report.active_nodes
         needed = int(math.ceil(
-            active * obs.routed_util / util_target
-        )) + cfg.headroom_nodes if obs.routed_util > 0 else cfg.min_nodes
-        if obs.routed_util >= util_target * cfg.util_hi_ratio:
+            active * report.routed_util / util_target
+        )) + cfg.headroom_nodes if report.routed_util > 0 else MIN_NODES
+        if report.routed_util >= util_target * UTIL_HI_RATIO:
             up = min(active + cfg.max_step_up, max(needed, active + 1))
-            return up, f"util {obs.routed_util:.3f} above band"
-        if obs.routed_util <= util_target * cfg.util_lo_ratio:
-            down = max(active - cfg.max_step_down, needed)
-            return down, f"util {obs.routed_util:.3f} below band"
+            return up, f"util {report.routed_util:.3f} above band"
+        if report.routed_util <= util_target * UTIL_LO_RATIO:
+            down = max(active - MAX_STEP_DOWN, needed)
+            return down, f"util {report.routed_util:.3f} below band"
         return active, "util in band"
 
 
@@ -321,13 +333,14 @@ class BurnRateScaler(Scaler):
     cooldown and hysteresis.
 
     The demand model packs next epoch's *projected* demand (observed
-    plus its upward trend — a rising edge is extrapolated, a falling
-    one is not, so the drain never undershoots a turning load) at
-    ``pack_units`` per replica plus headroom.  Two asymmetries protect
-    the SLO: a hot epoch (burn at/above ``up_burn`` or any guard-mode
-    degradation) forces an immediate scale-up even when the demand
-    model disagrees, and drains happen only after ``cooldown_epochs``
-    consecutive calm epochs, at most ``max_step_down`` at a time.
+    plus its upward trend over the previous epoch — a rising edge is
+    extrapolated, a falling one is not, so the drain never undershoots
+    a turning load) at :data:`PACK_UNITS` per replica plus headroom.
+    Two asymmetries protect the SLO: a hot epoch (burn at/above
+    :data:`UP_BURN` or any guard-mode degradation) forces an immediate
+    scale-up even when the demand model disagrees, and drains happen
+    only after :data:`COOLDOWN_EPOCHS` consecutive calm epochs, at most
+    :data:`MAX_STEP_DOWN` at a time.
     """
 
     name = "burnrate"
@@ -335,33 +348,38 @@ class BurnRateScaler(Scaler):
     def __init__(self, config, rate_nodes, unit_util):
         super().__init__(config, rate_nodes, unit_util)
         self._calm = 0
+        #: the previous epoch's demand (the first epoch is its own)
+        self._prev_demand: Optional[float] = None
 
-    def target(self, obs):
+    def target(self, report):
         cfg = self.config
-        trend = max(0.0, obs.demand_units - obs.prev_demand_units)
-        projected = obs.demand_units + trend
+        demand = report.demand_units
+        prev = demand if self._prev_demand is None else self._prev_demand
+        self._prev_demand = demand
+        trend = max(0.0, demand - prev)
+        projected = demand + trend
         needed = max(
-            int(math.ceil(projected / cfg.pack_units)) + cfg.headroom_nodes,
-            cfg.min_nodes,
+            int(math.ceil(projected / PACK_UNITS)) + cfg.headroom_nodes,
+            MIN_NODES,
         )
-        active = obs.active_nodes
-        hot = obs.burn_rate >= cfg.up_burn or obs.guard_events > 0
+        active = report.active_nodes
+        hot = report.burn_rate >= UP_BURN or report.guard_events > 0
         if hot or needed > active:
             self._calm = 0
             target = min(active + cfg.max_step_up,
                          max(needed, active + 1 if hot else needed))
-            why = (f"burn {obs.burn_rate:.2f} hot" if hot
+            why = (f"burn {report.burn_rate:.2f} hot" if hot
                    else f"demand {projected:.1f}u needs {needed}")
             return target, why
         if needed < active:
-            if obs.burn_rate <= cfg.down_burn:
+            if report.burn_rate <= DOWN_BURN:
                 self._calm += 1
             else:
                 self._calm = 0
-            if self._calm >= cfg.cooldown_epochs:
-                return (max(active - cfg.max_step_down, needed),
+            if self._calm >= COOLDOWN_EPOCHS:
+                return (max(active - MAX_STEP_DOWN, needed),
                         f"calm x{self._calm}, drain toward {needed}")
-            return active, f"cooldown {self._calm}/{cfg.cooldown_epochs}"
+            return active, f"cooldown {self._calm}/{COOLDOWN_EPOCHS}"
         self._calm = 0
         return active, "at target"
 
@@ -549,32 +567,6 @@ class RolloutEvent:
     control_p99_ms: float
 
 
-@dataclass(frozen=True)
-class EpochReport:
-    """One epoch as the controller observed it."""
-
-    epoch: int
-    start_ms: float
-    end_ms: float
-    nodes: tuple
-    n_arrivals: int
-    demand_units: float
-    routed_util: float
-    mean_slack_ms: float
-    served: int
-    violations: int
-    burn_rate: float
-    guard_events: int
-    be_work_ms: float
-    p99_ms: float
-    n_rerouted: int
-    crashed: tuple
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.nodes)
-
-
 class _RolloutState:
     """The canary-gated refit rollout state machine."""
 
@@ -591,7 +583,7 @@ class _RolloutState:
         if plan is None or self.phase in ("disabled", "aborted"):
             return set()
         if self.phase == "idle":
-            if epoch >= plan.start_epoch and active:
+            if epoch >= REFIT_START_EPOCH and active:
                 self.phase = "canary"
                 self.canary = min(active)
             else:
@@ -728,10 +720,6 @@ class AutoscaleResult:
         return min(e.n_nodes for e in self.epochs)
 
     @property
-    def mean_nodes(self) -> float:
-        return sum(e.n_nodes for e in self.epochs) / len(self.epochs)
-
-    @property
     def static_node_seconds(self) -> float:
         """What static provisioning would bill over the same span."""
         return self.spec.rate_nodes * self.spec.span_ms / 1000.0
@@ -763,7 +751,7 @@ class AutoscaleResult:
         }
 
 
-# -- the control loop ---------------------------------------------------------
+# -- the control loop: route, serve, observe, act -----------------------------
 
 #: Fan-out hook signature, mirroring :data:`~repro.runtime.cluster.MapFn`.
 EpochMapFn = Callable[
@@ -771,26 +759,220 @@ EpochMapFn = Callable[
     Sequence[EpochNodeStats],
 ]
 
+#: a node's routed entries in (arrival, service, penalty) order
+_ENTRY_ORDER = itemgetter(1, 0, 2)
 
-def run_autoscale(
-    spec: AutoscaleSpec,
-    gpu: str = "rtx2080ti",
-    map_fn: Optional[EpochMapFn] = None,
-    system: Optional[TackerSystem] = None,
-) -> AutoscaleResult:
-    """Run the autoscaling control loop over one scenario.
 
-    The controller is strictly causal: the trace is synthesized up
-    front (it is the *world*, not controller knowledge), but every
-    sizing decision consumes only finished-epoch observations.  Fleet
-    membership changes take effect at the next epoch boundary —
-    replicas reset their dispatcher reservation state there, which is
-    sound because epochs are much longer than the QoS target, so an
-    epoch's backlog drains within the epoch that created it.
+@dataclass(frozen=True)
+class EpochRoute:
+    """One epoch's routing outcome, as :func:`route_epoch` returns it."""
+
+    #: per live node: the epoch-relative ``(service, arrival_ms,
+    #: penalty_ms)`` triples routed there in time order, re-routes
+    #: included (what :attr:`EpochNodeSpec.arrivals` carries)
+    assignments: dict
+    #: crash instant of every node that crashed this epoch
+    crash_ms: dict
+    n_rerouted: int
+    #: mean Eq. 9 slack the dispatcher granted arriving queries
+    mean_slack_ms: float
+    #: predicted service ms routed across the fleet
+    routed_ms: float
+
+
+def route_epoch(arrivals: Sequence[tuple], live: Sequence[int],
+                node_faults: NodeFaultPlan, start_ms: float, end_ms: float,
+                service_ms: dict, qos_ms: float, routing: str) -> EpochRoute:
+    """Route one epoch's ``(arrival_ms, service)`` arrivals online.
+
+    Crashes and arrivals form one time-ordered list, the crash first at
+    a tie.  A crashed replica keeps what it finished by its crash
+    instant; the rest re-route to the survivors at that instant, each
+    carrying the latency it already accrued as its penalty.  A flapping
+    replica takes no query while it is down.  Every epoch gets a fresh
+    strategy, so round-robin state resets at the epoch boundary.
     """
-    scenario = load_scenario(spec.scenario)
-    if system is None:
-        system = TackerSystem(gpu=gpu_preset(gpu), config=scenario.run_config())
+    replicas = {
+        node: ReplicaState(index=node, qos_ms=qos_ms) for node in live
+    }
+    strategy = routing_strategy(routing)
+    assignments: dict = {node: [] for node in live}
+    crash_ms = {
+        node: at for node in live
+        if (at := node_faults.crash_in(node, start_ms, end_ms)) is not None
+    }
+    steps = sorted(
+        [(at, 0, node) for node, at in crash_ms.items()]
+        + [(t, 1, index) for index, (t, _) in enumerate(arrivals)]
+    )
+    lost: set = set()
+    slack_sum, n_rerouted = 0.0, 0
+    for now_ms, is_arrival, key in steps:
+        if is_arrival:
+            queries = [(arrivals[key][1], now_ms, 0.0)]
+        else:
+            lost.add(key)
+            entries = assignments[key]
+            queries = [x[:3] for x in entries if x[3] > now_ms]
+            assignments[key] = [x for x in entries if x[3] <= now_ms]
+            n_rerouted += len(queries)
+        for service, arrival_ms, penalty_ms in queries:
+            pool = [
+                replicas[node] for node in live
+                if node not in lost and not node_faults.is_down(node, now_ms)
+            ]
+            if not pool:
+                raise SchedulingError(f"no live replica at {now_ms:.0f} ms")
+            chosen, slack = strategy.route(now_ms, service_ms[service], pool)
+            if is_arrival:
+                slack_sum += slack
+            # a re-routed query's clock keeps running from its arrival
+            assignments[chosen.index].append([
+                service, now_ms, penalty_ms + (now_ms - arrival_ms),
+                chosen.busy_until_ms,
+            ])
+    return EpochRoute(
+        assignments={
+            node: tuple(
+                (service, t - start_ms, penalty)
+                for service, t, penalty, _ in sorted(entries, key=_ENTRY_ORDER)
+            )
+            for node, entries in assignments.items()
+        },
+        crash_ms=crash_ms,
+        n_rerouted=n_rerouted,
+        mean_slack_ms=(
+            slack_sum / len(arrivals) if arrivals else float("nan")
+        ),
+        routed_ms=sum(r.routed_ms for r in replicas.values()),
+    )
+
+
+def serve_epoch(specs: Sequence[EpochNodeSpec],
+                map_fn: Optional[EpochMapFn] = None) -> list:
+    """Simulate every replica-epoch through ``map_fn`` (the builtin
+    ``map`` by default), in spec order."""
+    return list((map_fn or map)(run_epoch_node, specs))
+
+
+def observe_epoch(epoch: int, start_ms: float, end_ms: float,
+                  live: Sequence[int], n_arrivals: int, route: EpochRoute,
+                  stats: Sequence[EpochNodeStats],
+                  unit_rate: float) -> EpochReport:
+    """Fold one routed and served epoch into its report."""
+    span_ms = end_ms - start_ms
+    served = sum(s.n_queries for s in stats)
+    violations = sum(s.n_violations for s in stats)
+    return EpochReport(
+        epoch=epoch,
+        start_ms=start_ms,
+        end_ms=end_ms,
+        nodes=tuple(sorted(live)),
+        n_arrivals=n_arrivals,
+        demand_units=n_arrivals / (unit_rate * span_ms),
+        routed_util=(
+            route.routed_ms / (len(live) * span_ms) if live else 0.0
+        ),
+        mean_slack_ms=route.mean_slack_ms,
+        served=served,
+        violations=violations,
+        burn_rate=(violations / served) / SLO_BUDGET if served else 0.0,
+        guard_events=sum(s.guard_events for s in stats),
+        be_work_ms=sum(s.be_work_ms for s in stats),
+        p99_ms=merged_p99_ms(stats),
+        n_rerouted=route.n_rerouted,
+        crashed=tuple(sorted(route.crash_ms)),
+    )
+
+
+class _Fleet:
+    """The live replica set, provisioned through the cluster manager
+    (occurrence counting stages fused kernels as placements land)."""
+
+    def __init__(self, manager: ClusterManager, lc_names: tuple,
+                 be_names: tuple):
+        self.manager = manager
+        self.lc_names = lc_names
+        self.be_names = be_names
+        #: live node indices, ascending (provisioning only appends)
+        self.active: list = []
+        self._next = 0
+
+    def provision(self, n: int) -> None:
+        for index in range(self._next, self._next + n):
+            self.manager.register_replica(
+                f"node{index:03d}",
+                self.lc_names[index % len(self.lc_names)],
+                (self.be_names[index % len(self.be_names)],),
+            )
+            self.active.append(index)
+        self._next += n
+
+
+def act(scaler: Scaler, report: EpochReport, fleet: _Fleet,
+        protected: set) -> "tuple[ScaleDecision, int]":
+    """Turn the scaler's clamped target into a provision or a drain.
+
+    Drains take the newest replicas first and never a ``protected``
+    one.  Returns the logged decision and the clamped target.
+    """
+    target, reason = scaler.target(report)
+    target = max(MIN_NODES, min(MAX_NODES, target))
+    before = len(fleet.active)
+    if target > before:
+        fleet.provision(target - before)
+        action = "up"
+    elif target < before:
+        for node in sorted(fleet.active, reverse=True):
+            if len(fleet.active) <= target:
+                break
+            if node not in protected:
+                fleet.active.remove(node)
+        action = "down"
+    else:
+        action = "hold"
+    decision = ScaleDecision(
+        epoch=report.epoch,
+        scaler=scaler.name,
+        action=action,
+        from_nodes=before,
+        to_nodes=len(fleet.active),
+        burn_rate=report.burn_rate,
+        demand_units=report.demand_units,
+        routed_util=report.routed_util,
+        reason=reason,
+    )
+    return decision, target
+
+
+def _monitor_entry(report: EpochReport, stats: Sequence[EpochNodeStats],
+                   refitting: set, desired: int, action: str) -> dict:
+    """The monitor's flight-recorder entry for one epoch."""
+    return {
+        "epoch": report.epoch,
+        "end_ms": report.end_ms,
+        "served": report.served,
+        "violations": report.violations,
+        "nodes": report.n_nodes,
+        "routed_util": report.routed_util,
+        "burn_rate": report.burn_rate,
+        "demand_units": report.demand_units,
+        "guard_events": report.guard_events,
+        "crashed": [f"node{n:03d}" for n in report.crashed],
+        "n_rerouted": report.n_rerouted,
+        "node_overrun": {
+            s.name: s.mean_overrun_ratio for s in stats if s.pred_ratio_n
+        },
+        "refit_nodes": sorted(f"node{n:03d}" for n in refitting),
+        "desired": desired,
+        "action": action,
+    }
+
+
+def _unit_demand(scenario, system: TackerSystem
+                 ) -> "tuple[dict, float, float]":
+    """Per-service solo ms, plus the arrival rate and the predicted
+    utilization of one demand unit (one node's calibrated share)."""
     library, oracle = system.library, system.oracle
     # key everything by the canonical model name — that is what the
     # trace's events carry
@@ -814,8 +996,13 @@ def run_autoscale(
         raise SchedulingError(
             f"scenario {scenario.name!r} has no arrival rate"
         )
+    return service_ms, unit_rate, unit_util
 
-    # the world: the fleet-scale arrival trace over the control span
+
+def _world_events(scenario, spec: AutoscaleSpec, system: TackerSystem,
+                  unit_rate: float) -> list:
+    """The world: the fleet-scale ``(arrival_ms, service)`` trace over
+    the control span."""
     fleet_scenario = replace(
         scenario, rate_scale=scenario.rate_scale * spec.rate_nodes
     )
@@ -824,7 +1011,7 @@ def run_autoscale(
     ))
     count = max(count, len(scenario.lc_services))
     trace = synthesize_trace(
-        fleet_scenario, library, oracle, n_queries=count
+        fleet_scenario, system.library, system.oracle, n_queries=count
     )
     if len(trace) and trace.arrivals_ms[-1] < spec.span_ms:
         raise SchedulingError(
@@ -832,38 +1019,36 @@ def run_autoscale(
             f"short of the {spec.span_ms:.0f} ms control span; "
             "raise the synthesis margin"
         )
-    events = [(t, s) for t, s in trace.events() if t < spec.span_ms]
+    return [(t, s) for t, s in trace.events() if t < spec.span_ms]
 
-    cfg = spec.scaler
-    scaler = make_scaler(cfg, spec.rate_nodes, unit_util)
-    manager = ClusterManager(
-        system, occurrence_threshold=spec.occurrence_threshold
-    )
-    lc_names = tuple(scenario.lc_services)
+
+def run_autoscale(
+    spec: AutoscaleSpec,
+    gpu: str = "rtx2080ti",
+    map_fn: Optional[EpochMapFn] = None,
+    system: Optional[TackerSystem] = None,
+) -> AutoscaleResult:
+    """Run the autoscaling control loop over one scenario.
+
+    The controller is strictly causal: the trace is synthesized up
+    front (it is the *world*, not controller knowledge), but every
+    sizing decision consumes only finished-epoch observations.  Fleet
+    membership changes take effect at the next epoch boundary —
+    replicas reset their dispatcher reservation state there, which is
+    sound because epochs are much longer than the QoS target, so an
+    epoch's backlog drains within the epoch that created it.
+    """
+    scenario = load_scenario(spec.scenario)
+    if system is None:
+        system = TackerSystem(gpu=gpu_preset(gpu), config=scenario.run_config())
+    service_ms, unit_rate, unit_util = _unit_demand(scenario, system)
+    events = _world_events(scenario, spec, system, unit_rate)
+    times = [t for t, _ in events]
+    scaler = make_scaler(spec.scaler, spec.rate_nodes, unit_util)
+    manager = ClusterManager(system)
     be_names = tuple(scenario.be_apps)
-    active: list = []
-    next_node = 0
-
-    def provision(n: int) -> list:
-        """Register ``n`` fresh replicas through the cluster manager
-        (occurrence counting stages fused kernels as placements land)."""
-        nonlocal next_node
-        added = []
-        for _ in range(n):
-            index = next_node
-            next_node += 1
-            manager.register_replica(
-                f"node{index:03d}",
-                lc_names[index % len(lc_names)],
-                (be_names[index % len(be_names)],),
-            )
-            active.append(index)
-            added.append(index)
-        return added
-
-    initial = scaler.initial_nodes()
-    initial = max(cfg.min_nodes, min(cfg.max_nodes, initial))
-    provision(initial)
+    fleet = _Fleet(manager, tuple(scenario.lc_services), be_names)
+    fleet.provision(max(MIN_NODES, min(MAX_NODES, scaler.initial_nodes())))
 
     run_cfg = scenario.run_config()
     epochs: list = []
@@ -874,249 +1059,63 @@ def run_autoscale(
     # The fleet monitor lives in the (serial) controller: alert streams
     # depend only on epoch aggregates, never on worker layout.
     monitor = make_monitor(spec.slo_rules, scenario.qos_ms, source="autoscale")
-    crashed: list = []
     node_seconds = 0.0
-    total_rerouted = 0
-    prev_demand: Optional[float] = None
     cursor = 0
-    n_epochs = spec.n_epochs
-
-    for epoch in range(n_epochs):
+    for epoch in range(spec.n_epochs):
         t0 = epoch * spec.epoch_ms
         t1 = min(t0 + spec.epoch_ms, spec.span_ms)
-        epoch_span = t1 - t0
-        epoch_events = []
-        while cursor < len(events) and events[cursor][0] < t1:
-            epoch_events.append(events[cursor])
-            cursor += 1
-
-        refitting = rollout.refit_nodes(epoch, active, rollout_events)
-
-        # -- route the epoch's arrivals online across the live fleet --
-        replicas = {
-            node: ReplicaState(index=node, qos_ms=scenario.qos_ms)
-            for node in active
-        }
-        strategy = routing_strategy(spec.routing)
-        assignments: dict = {node: [] for node in active}
-        lost: set = set()
-        crash_times: dict = {}
-        crash_list = sorted(
-            (at, node) for node in active
-            if (at := spec.node_faults.crash_in(node, t0, t1)) is not None
+        stop = bisect.bisect_left(times, t1, cursor)
+        arrivals, cursor = events[cursor:stop], stop
+        live = list(fleet.active)
+        refitting = rollout.refit_nodes(epoch, live, rollout_events)
+        route = route_epoch(
+            arrivals, live, spec.node_faults, t0, t1, service_ms,
+            scenario.qos_ms, spec.routing,
         )
-        slack_sum, slack_n = 0.0, 0
-        seq = 0
-        epoch_rerouted = 0
-
-        def eligible(now_ms: float) -> list:
-            return [
-                replicas[node] for node in active
-                if node not in lost
-                and not spec.node_faults.is_down(node, now_ms)
-            ]
-
-        def fail_node(victim: int, at_ms: float) -> None:
-            """Crash a replica: keep what it finished, re-route the rest."""
-            nonlocal seq, epoch_rerouted
-            if victim in lost:
-                return
-            lost.add(victim)
-            crash_times[victim] = at_ms
-            kept, moved = [], []
-            for entry in assignments[victim]:
-                (moved if entry[3] > at_ms else kept).append(entry)
-            assignments[victim] = kept
-            for service, arrival_ms, penalty_ms, _ in moved:
-                pool = eligible(at_ms)
-                if not pool:
-                    raise SchedulingError(
-                        f"node {victim} crashed at {at_ms:.0f} ms with "
-                        "no live replica left to absorb its queries"
-                    )
-                for replica in pool:
-                    replica.drain(at_ms)
-                ms = service_ms[service]
-                chosen = strategy.choose(at_ms, ms, pool)
-                chosen.assign(at_ms, ms, seq)
-                seq += 1
-                assignments[chosen.index].append([
-                    service, at_ms,
-                    penalty_ms + (at_ms - arrival_ms),
-                    chosen.busy_until_ms,
-                ])
-                epoch_rerouted += 1
-
-        ci = 0
-        for t, service in epoch_events:
-            while ci < len(crash_list) and crash_list[ci][0] <= t:
-                fail_node(crash_list[ci][1], crash_list[ci][0])
-                ci += 1
-            pool = eligible(t)
-            if not pool:
-                raise SchedulingError(
-                    f"no live replica at {t:.0f} ms (epoch {epoch})"
-                )
-            for replica in pool:
-                replica.drain(t)
-            ms = service_ms[service]
-            chosen = strategy.choose(t, ms, pool)
-            slack_sum += chosen.new_query_slack_ms(t, ms)
-            slack_n += 1
-            chosen.assign(t, ms, seq)
-            seq += 1
-            assignments[chosen.index].append(
-                [service, t, 0.0, chosen.busy_until_ms]
-            )
-        while ci < len(crash_list):
-            fail_node(crash_list[ci][1], crash_list[ci][0])
-            ci += 1
-
-        # -- fan the per-replica epoch simulations out --
-        specs = []
-        for node in sorted(active):
-            entries = assignments[node]
-            entries.sort(key=lambda e: (e[1], e[0], e[2]))
-            end_ms = crash_times.get(node, t1)
-            fault_plan = None
-            if node in refitting and rollout.plan is not None:
-                fault_plan = rollout.plan.fault_plan(node, epoch)
-            specs.append(EpochNodeSpec(
+        specs = [
+            EpochNodeSpec(
                 gpu=gpu,
                 node=node,
                 name=f"node{node:03d}",
                 epoch=epoch,
-                arrivals=tuple(
-                    (service, t_abs - t0, penalty)
-                    for service, t_abs, penalty, _ in entries
-                ),
+                arrivals=route.assignments[node],
                 be_names=be_names,
-                span_ms=max(end_ms - t0, 1e-3),
+                span_ms=max(route.crash_ms.get(node, t1) - t0, 1e-3),
                 run=run_cfg,
                 policy=spec.policy,
                 guard=spec.guard,
-                faults=fault_plan,
-                slow_factor=spec.node_faults.slow_factor(node, t0),
-            ))
-        if map_fn is None:
-            stats = [run_epoch_node(s) for s in specs]
-        else:
-            stats = list(map_fn(run_epoch_node, specs))
-
-        # -- observe --
-        served = sum(s.n_queries for s in stats)
-        violations = sum(s.n_violations for s in stats)
-        guard_events = sum(s.guard_events for s in stats)
-        burn = (
-            (violations / served) / cfg.slo_budget if served else 0.0
-        )
-        routed = sum(r.routed_ms for r in replicas.values())
-        util = routed / (len(active) * epoch_span) if active else 0.0
-        demand = len(epoch_events) / (unit_rate * epoch_span)
-        mean_slack = slack_sum / slack_n if slack_n else float("nan")
-        for node in active:
-            node_seconds += (crash_times.get(node, t1) - t0) / 1000.0
-        epochs.append(EpochReport(
-            epoch=epoch,
-            start_ms=t0,
-            end_ms=t1,
-            nodes=tuple(sorted(active)),
-            n_arrivals=len(epoch_events),
-            demand_units=demand,
-            routed_util=util,
-            mean_slack_ms=mean_slack,
-            served=served,
-            violations=violations,
-            burn_rate=burn,
-            guard_events=guard_events,
-            be_work_ms=sum(s.be_work_ms for s in stats),
-            p99_ms=merged_p99_ms(stats),
-            n_rerouted=epoch_rerouted,
-            crashed=tuple(sorted(lost)),
-        ))
-        all_stats.extend(stats)
-        total_rerouted += epoch_rerouted
-        rollout.observe(epoch, stats, rollout_events)
-        epoch_entry = None
-        if monitor is not None:
-            epoch_entry = {
-                "epoch": epoch,
-                "end_ms": t1,
-                "served": served,
-                "violations": violations,
-                "nodes": len(epochs[-1].nodes),
-                "routed_util": util,
-                "burn_rate": burn,
-                "demand_units": demand,
-                "guard_events": guard_events,
-                "crashed": [f"node{n:03d}" for n in sorted(lost)],
-                "n_rerouted": epoch_rerouted,
-                "node_overrun": {
-                    s.name: s.mean_overrun_ratio
-                    for s in stats if s.pred_ratio_n
-                },
-                "refit_nodes": sorted(
-                    f"node{n:03d}" for n in refitting
+                faults=(
+                    rollout.plan.fault_plan(node, epoch)
+                    if node in refitting else None
                 ),
-            }
-
-        # -- act: crashed capacity leaves, the scaler sizes the rest --
-        for node in sorted(lost):
-            active.remove(node)
-            crashed.append(node)
-        if epoch == n_epochs - 1:
-            if epoch_entry is not None:
-                epoch_entry.update(desired=len(active), action="final")
-                monitor.note_epoch(epoch_entry)
-            prev_demand = demand
-            continue
-        obs = EpochObservation(
-            epoch=epoch,
-            active_nodes=len(active),
-            n_arrivals=len(epoch_events),
-            demand_units=demand,
-            prev_demand_units=(
-                prev_demand if prev_demand is not None else demand
-            ),
-            routed_util=util,
-            mean_slack_ms=mean_slack,
-            served=served,
-            violations=violations,
-            burn_rate=burn,
-            guard_events=guard_events,
+                slow_factor=spec.node_faults.slow_factor(node, t0),
+            )
+            for node in live
+        ]
+        stats = serve_epoch(specs, map_fn)
+        report = observe_epoch(
+            epoch, t0, t1, live, len(arrivals), route, stats, unit_rate
         )
-        target, reason = scaler.target(obs)
-        target = max(cfg.min_nodes, min(cfg.max_nodes, target))
-        before = len(active)
-        if target > before:
-            provision(target - before)
-            action = "up"
-        elif target < before:
-            protected = rollout.protected()
-            for node in sorted(active, reverse=True):
-                if len(active) <= target:
-                    break
-                if node in protected:
-                    continue
-                active.remove(node)
-            action = "down"
+        epochs.append(report)
+        all_stats.extend(stats)
+        rollout.observe(epoch, stats, rollout_events)
+        for node in live:
+            node_seconds += (route.crash_ms.get(node, t1) - t0) / 1000.0
+        # crashed capacity leaves; the scaler sizes the rest
+        for node in report.crashed:
+            fleet.active.remove(node)
+        if epoch < spec.n_epochs - 1:
+            decision, desired = act(
+                scaler, report, fleet, rollout.protected()
+            )
+            decisions.append(decision)
+            action = decision.action
         else:
-            action = "hold"
-        decisions.append(ScaleDecision(
-            epoch=epoch,
-            scaler=scaler.name,
-            action=action,
-            from_nodes=before,
-            to_nodes=len(active),
-            burn_rate=burn,
-            demand_units=demand,
-            routed_util=util,
-            reason=reason,
-        ))
-        if epoch_entry is not None:
-            epoch_entry.update(desired=target, action=action)
-            monitor.note_epoch(epoch_entry)
-        prev_demand = demand
+            desired, action = len(fleet.active), "final"
+        if monitor is not None:
+            monitor.note_epoch(
+                _monitor_entry(report, stats, refitting, desired, action)
+            )
 
     result = AutoscaleResult(
         spec=spec,
@@ -1131,8 +1130,8 @@ def run_autoscale(
         rollout_events=rollout_events,
         rollout_status=rollout.phase,
         staging=manager.staging_report(),
-        crashed=tuple(crashed),
-        n_rerouted=total_rerouted,
+        crashed=tuple(node for e in epochs for node in e.crashed),
+        n_rerouted=sum(e.n_rerouted for e in epochs),
         node_seconds=node_seconds,
         alerts=monitor.alert_dicts() if monitor is not None else [],
     )

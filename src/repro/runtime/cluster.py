@@ -42,7 +42,6 @@ from ..config import gpu_preset
 from ..errors import SchedulingError
 from ..models.zoo import ModelSpec, model_by_name
 from .faults import FaultPlan
-from .headroom import reservation_slack_ms
 from .metrics import fleet_improvement, merged_p99_ms, throughput_improvement
 from .policies import validate_policy_name
 from .query import BEApplication
@@ -57,6 +56,12 @@ DEFAULT_OCCURRENCE_THRESHOLD = 3
 
 #: The pluggable routing strategies of the dispatcher.
 ROUTING_STRATEGIES = ("roundrobin", "least", "headroom")
+
+#: minimum predicted-utilization gap before a BE-hosting node steals
+STEAL_GAP = 0.15
+
+#: arrival process of the dispatcher's merged stream ("paced" | "poisson")
+ARRIVAL_PROCESS = "paced"
 
 
 @dataclass
@@ -153,22 +158,16 @@ class ClusterManager:
             return
         if not self.is_long_running("lc", node.lc_service):
             return
-        model = self._model(node.lc_service)
+        model = model_by_name(node.lc_service)
         for be_name in sorted(node.be_apps):
             if not self.is_long_running("be", be_name):
                 continue
             self._prepare_and_distribute(node, model, be_name)
 
-    def _model(self, lc_name: str) -> ModelSpec:
-        return model_by_name(lc_name)
-
-    def _be(self, be_name: str) -> BEApplication:
-        return be_application(be_name, self.system.library)
-
     def _prepare_and_distribute(
         self, node: ClusterNode, model: ModelSpec, be_name: str
     ) -> None:
-        be_app = self._be(be_name)
+        be_app = be_application(be_name, self.system.library)
         self.system.prepare_pair(model, be_app)
         libraries = {
             artifact.library_name
@@ -269,10 +268,6 @@ class ClusterSpec:
     #: BE work-stealing: an under-utilized node drains a loaded
     #: neighbour's BE queue
     steal: bool = True
-    #: minimum predicted-utilization gap before a steal triggers
-    steal_gap: float = 0.15
-    #: arrival process of the merged stream ("paced" | "poisson")
-    process: str = "paced"
     #: the measured policy and the baseline it is compared against
     policy: str = "tacker"
     baseline: str = "baymax"
@@ -297,8 +292,6 @@ class ClusterSpec:
                 f"unknown routing strategy {self.routing!r}; "
                 f"choose from {ROUTING_STRATEGIES}"
             )
-        if self.steal_gap <= 0:
-            raise SchedulingError("steal_gap must be positive")
         validate_policy_name(self.policy, owner="cluster policy")
         validate_policy_name(self.baseline, owner="cluster baseline")
 
@@ -364,7 +357,6 @@ class ReplicaState:
         self.busy_until_ms = 0.0
         #: in-flight reservations: (arrival_ms, service_ms, finish_est_ms)
         self.inflight: list = []
-        self.n_routed = 0
         self.routed_ms = 0.0
         #: sequence number of the last query routed here (LRU tie-break)
         self.routed_seq = -1
@@ -379,10 +371,6 @@ class ReplicaState:
 
     def backlog_ms(self, now_ms: float) -> float:
         return max(0.0, self.busy_until_ms - now_ms)
-
-    def slack_ms(self, now_ms: float) -> float:
-        """This replica's Eq. 9 reservation slack, dispatcher view."""
-        return reservation_slack_ms(self.qos_ms, now_ms, self.inflight)
 
     def reserved_ms(self, now_ms: float) -> float:
         """Reserved-ahead time: the in-flight queries' remaining work."""
@@ -405,7 +393,6 @@ class ReplicaState:
         start = max(now_ms, self.busy_until_ms)
         self.busy_until_ms = start + service_ms
         self.inflight.append((now_ms, service_ms, self.busy_until_ms))
-        self.n_routed += 1
         self.routed_ms += service_ms
         self.routed_seq = seq
 
@@ -414,6 +401,10 @@ class RoutingStrategy(ABC):
     """Picks the replica for one arriving query, in arrival order."""
 
     name = "?"
+
+    def __init__(self):
+        #: sequence number of the next routed query (LRU tie-break)
+        self._seq = 0
 
     @abstractmethod
     def choose(
@@ -424,6 +415,25 @@ class RoutingStrategy(ABC):
     ) -> ReplicaState:
         ...
 
+    def route(
+        self,
+        now_ms: float,
+        service_ms: float,
+        pool: Sequence[ReplicaState],
+    ) -> "tuple[ReplicaState, float]":
+        """Route one query: drain the pool, choose, reserve.
+
+        Returns the chosen replica and the query's Eq. 9 slack on it
+        from before the reservation.
+        """
+        for replica in pool:
+            replica.drain(now_ms)
+        chosen = self.choose(now_ms, service_ms, pool)
+        slack = chosen.new_query_slack_ms(now_ms, service_ms)
+        chosen.assign(now_ms, service_ms, self._seq)
+        self._seq += 1
+        return chosen, slack
+
 
 class RoundRobinRouting(RoutingStrategy):
     """Cycle through the replicas regardless of their state."""
@@ -431,6 +441,7 @@ class RoundRobinRouting(RoutingStrategy):
     name = "roundrobin"
 
     def __init__(self):
+        super().__init__()
         self._next = 0
 
     def choose(self, now_ms, service_ms, replicas):
@@ -607,7 +618,7 @@ class ClusterDispatcher:
             count=run.queries, seed=run.seed, load=run.load,
             qos_ms=run.qos_ms,
             rate_scale=len(spec.nodes) / len(models),
-            process=spec.process,
+            process=ARRIVAL_PROCESS,
         )
         service_ms = {
             model.name: solo_query_ms(model, system.library, system.oracle)
@@ -619,13 +630,10 @@ class ClusterDispatcher:
             for index in range(len(spec.nodes))
         ]
         assignments: list = [[] for _ in spec.nodes]
-        for seq, (arrival_ms, lc_name) in enumerate(stream):
-            for replica in replicas:
-                replica.drain(arrival_ms)
-            chosen = strategy.choose(
+        for arrival_ms, lc_name in stream:
+            chosen, _ = strategy.route(
                 arrival_ms, service_ms[lc_name], replicas
             )
-            chosen.assign(arrival_ms, service_ms[lc_name], seq)
             assignments[chosen.index].append((lc_name, arrival_ms))
         horizon_ms = stream[-1][0] + run.qos_ms
         utilization = tuple(
@@ -652,7 +660,7 @@ class ClusterDispatcher:
         * a node with *no* resident BE applications steals always — BE
           streams are endless, so a BE-hosting node's idle time is
           already filled and only a BE-less node truly wastes cycles;
-        * a BE-hosting node steals when it sits ``steal_gap`` of
+        * a BE-hosting node steals when it sits :data:`STEAL_GAP` of
           predicted utilization below the donor (extra streams to
           interleave into its larger idle share).
 
@@ -672,7 +680,7 @@ class ClusterDispatcher:
                 if index == donor:
                     continue
                 eligible = not node.be_names or (
-                    utilization[donor] - utilization[index] > spec.steal_gap
+                    utilization[donor] - utilization[index] > STEAL_GAP
                 )
                 if not eligible:
                     continue
@@ -798,10 +806,6 @@ class ClusterResult:
         return merged_p99_ms([node.tacker for node in self.nodes])
 
     @property
-    def baseline_p99_ms(self) -> float:
-        return merged_p99_ms([node.baymax for node in self.nodes])
-
-    @property
     def n_nodes_satisfied(self) -> int:
         return sum(1 for node in self.nodes if node.qos_satisfied)
 
@@ -827,11 +831,6 @@ class ClusterResult:
     @property
     def baseline_be_work_ms(self) -> float:
         return sum(node.baymax.total_be_work_ms for node in self.nodes)
-
-    @property
-    def fleet_be_throughput(self) -> float:
-        """Fleet BE work per wall millisecond within the shared horizon."""
-        return self.fleet_be_work_ms / self.horizon_ms
 
     @property
     def improvement(self) -> float:

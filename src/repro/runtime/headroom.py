@@ -28,34 +28,6 @@ Predictor = Callable[[KernelInstance], float]
 _ReservationEntry = None
 
 
-def reservation_slack_ms(
-    qos_ms: float,
-    now_ms: float,
-    inflight: Sequence[tuple[float, float, float]],
-) -> float:
-    """Eq. 9 slack over a replica's in-flight reservations.
-
-    This is the dispatcher-side view of the same accounting
-    :class:`HeadroomTracker` does inside a node: each routed query is a
-    ``(arrival_ms, service_ms, finish_estimate_ms)`` triple, its
-    remaining reserved time is the unelapsed part of its estimate, and
-    the binding constraint is the minimum FIFO slack.  Returns ``+inf``
-    for an idle replica.
-    """
-    if qos_ms <= 0:
-        raise SchedulingError("QoS target must be positive")
-    slack = float("inf")
-    reserved_ahead = 0.0
-    for arrival_ms, service_ms, finish_ms in inflight:
-        remaining = min(service_ms, max(0.0, finish_ms - now_ms))
-        if remaining <= 0.0:
-            continue
-        elapsed = now_ms - arrival_ms
-        slack = min(slack, qos_ms - elapsed - reserved_ahead - remaining)
-        reserved_ahead += remaining
-    return slack
-
-
 class HeadroomTracker:
     """Computes the schedulable BE headroom at a point in time."""
 

@@ -482,22 +482,3 @@ class DurationOracle:
         """Persist any fresh simulations to the store, if one is attached."""
         if self.store is not None:
             self.store.save()
-
-    # -- telemetry ------------------------------------------------------------
-
-    def publish_metrics(self, registry) -> None:
-        """Publish the lookup totals into a metrics registry.
-
-        Called at collection time (``repro metrics``, perf reporting) —
-        never per lookup, so the oracle hot path stays counter-only.
-        """
-        for outcome, total in (
-            ("hit", self.hits),
-            ("miss", self.misses),
-            ("persistent_hit", self.persistent_hits),
-        ):
-            registry.counter(
-                "repro_oracle_lookups_total",
-                "Duration-oracle lookups by outcome.",
-                outcome=outcome,
-            ).set_total(total)

@@ -11,10 +11,9 @@ This module supplies that structure three ways:
   service)`` as parallel numpy arrays, with a versioned JSONL format
   that round-trips *exactly* (record a run's arrivals, replay them
   byte-for-byte);
-* :class:`TraceSource` — where traces come from: recorded JSONL files
-  (:class:`RecordedTraceSource`) or seeded synthesizers
-  (:class:`SyntheticTraceSource`) driven by a rate profile — steady,
-  diurnal curves, flash crowds, MMPP on/off bursts, tenant churn;
+* :func:`synthesize_trace` — seeded synthesizers driven by a rate
+  profile — steady, diurnal curves, flash crowds, MMPP on/off bursts,
+  tenant churn;
 * :class:`Scenario` — versioned JSON configs (``scenarios/*.json``,
   schema :data:`SCENARIO_SCHEMA`) naming the LC mix, BE apps, operating
   point and arrival shape, so every scheduler comparison runs on the
@@ -131,6 +130,19 @@ class Trace:
             name: int(count)
             for name, count in zip(self.services, counts)
         }
+
+    def prefix(self, n_queries: int) -> "Trace":
+        """The first ``n_queries`` arrivals (a recorded multi-day trace
+        can smoke-test at any length); the whole trace when it is no
+        longer, else a copy whose ``meta`` records ``truncated_to``."""
+        if n_queries >= len(self):
+            return self
+        return Trace(
+            services=self.services,
+            arrivals_ms=self.arrivals_ms[:n_queries].copy(),
+            service_idx=self.service_idx[:n_queries].copy(),
+            meta={**self.meta, "truncated_to": n_queries},
+        )
 
     def horizon_ms(self, qos_ms: float) -> float:
         """The run horizon: last arrival + the QoS target."""
@@ -537,75 +549,6 @@ def synthesize_trace(
     return trace
 
 
-# -- trace sources ------------------------------------------------------------
-
-
-class TraceSource:
-    """Where a replay's arrivals come from.
-
-    One method: :meth:`trace` materializes the arrival stream for a
-    given query budget.  Implementations must be deterministic — the
-    same source and budget always produce the same trace.
-    """
-
-    name = "source"
-
-    def trace(
-        self,
-        library: KernelLibrary,
-        oracle: DurationOracle,
-        n_queries: Optional[int] = None,
-    ) -> Trace:
-        raise NotImplementedError
-
-
-class RecordedTraceSource(TraceSource):
-    """Replays a recorded JSONL trace, exactly.
-
-    ``n_queries`` optionally truncates to a prefix (a recorded
-    multi-day trace can smoke-test at any length); ``None`` replays
-    everything.
-    """
-
-    def __init__(self, path: "str | pathlib.Path"):
-        self.path = pathlib.Path(path)
-        self.name = f"recorded:{self.path.name}"
-
-    def trace(
-        self,
-        library: KernelLibrary,
-        oracle: DurationOracle,
-        n_queries: Optional[int] = None,
-    ) -> Trace:
-        trace = Trace.read_jsonl(self.path)
-        if n_queries is None or n_queries >= len(trace):
-            return trace
-        return Trace(
-            services=trace.services,
-            arrivals_ms=trace.arrivals_ms[:n_queries].copy(),
-            service_idx=trace.service_idx[:n_queries].copy(),
-            meta={**trace.meta, "truncated_to": n_queries},
-        )
-
-
-class SyntheticTraceSource(TraceSource):
-    """Synthesizes a scenario's trace from its seeded generators."""
-
-    def __init__(self, scenario: "Scenario"):
-        self.scenario = scenario
-        self.name = f"scenario:{scenario.name}"
-
-    def trace(
-        self,
-        library: KernelLibrary,
-        oracle: DurationOracle,
-        n_queries: Optional[int] = None,
-    ) -> Trace:
-        return synthesize_trace(
-            self.scenario, library, oracle, n_queries=n_queries
-        )
-
-
 # -- the scenario library -----------------------------------------------------
 
 
@@ -645,9 +588,6 @@ class Scenario:
             telemetry=telemetry,
             scenario=self.name,
         )
-
-    def source(self) -> SyntheticTraceSource:
-        return SyntheticTraceSource(self)
 
 
 _REQUIRED_SCENARIO_KEYS = (

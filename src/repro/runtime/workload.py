@@ -9,7 +9,7 @@ Parboil kernels or the DNN-training iteration sequences.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -353,9 +353,3 @@ def standard_be_names() -> tuple[str, ...]:
         "sgemm", "lbm", "tpacf",
         "Res-T", "VGG-T", "Incep-T", "Dense-T",
     )
-
-
-def be_applications(
-    names: Iterable[str], library: KernelLibrary
-) -> list[BEApplication]:
-    return [be_application(name, library) for name in names]

@@ -15,9 +15,11 @@ from repro.errors import ConfigError
 from repro.experiments import autoscale as autoscale_exp
 from repro.models.zoo import model_by_name
 from repro.runtime.autoscale import (
+    PACK_UNITS,
     AutoscaleSpec,
     BurnRateScaler,
-    EpochObservation,
+    EpochNodeSpec,
+    EpochReport,
     ReactiveScaler,
     RefitPlan,
     SCALER_POLICIES,
@@ -25,9 +27,17 @@ from repro.runtime.autoscale import (
     StaticScaler,
     make_scaler,
     run_autoscale,
+    serve_epoch,
 )
 from repro.runtime.faults import NodeFault, NodeFaultPlan
-from repro.runtime.replay import scenarios_dir
+from repro.runtime.policies import list_policies
+from repro.runtime.replay import (
+    load_scenario,
+    scenarios_dir,
+    serve_trace,
+    synthesize_trace,
+)
+from repro.runtime.system import TackerSystem
 from repro.runtime.workload import query_instances
 
 #: Small enough to run in seconds, big enough to cross epoch
@@ -36,14 +46,17 @@ TINY = dict(scenario="diurnal", rate_nodes=2, span_ms=6000.0,
             epoch_ms=2000.0)
 
 
-def obs(**kwargs):
+def obs(active_nodes=8, **kwargs):
+    """An epoch report over ``active_nodes`` live replicas."""
     base = dict(
-        epoch=1, active_nodes=8, n_arrivals=100, demand_units=8.0,
-        prev_demand_units=8.0, routed_util=0.4, mean_slack_ms=10.0,
+        epoch=1, start_ms=1000.0, end_ms=2000.0,
+        nodes=tuple(range(active_nodes)), n_arrivals=100,
+        demand_units=8.0, routed_util=0.4, mean_slack_ms=10.0,
         served=100, violations=0, burn_rate=0.0, guard_events=0,
+        be_work_ms=0.0, p99_ms=20.0, n_rerouted=0, crashed=(),
     )
     base.update(kwargs)
-    return EpochObservation(**base)
+    return EpochReport(**base)
 
 
 class TestConfigValidation:
@@ -52,14 +65,13 @@ class TestConfigValidation:
             ScalerConfig(policy="magic")
 
     @pytest.mark.parametrize("kwargs", [
-        dict(min_nodes=0),
-        dict(min_nodes=4, max_nodes=2),
-        dict(pack_units=0.0),
-        dict(slo_budget=0.0),
-        dict(down_burn=2.0, up_burn=1.0),
-        dict(cooldown_epochs=0),
-        dict(max_step_down=0),
-        dict(util_lo_ratio=1.2, util_hi_ratio=1.1),
+        dict(policy=policy, **bad)
+        for policy in SCALER_POLICIES
+        for bad in (
+            dict(headroom_nodes=-1),
+            dict(max_step_up=0),
+            dict(headroom_nodes=-1, max_step_up=0),
+        )
     ])
     def test_bad_scaler_knobs(self, kwargs):
         with pytest.raises(ConfigError):
@@ -104,7 +116,7 @@ class TestScalerLogic:
     def test_reactive_scales_with_utilization(self):
         cfg = ScalerConfig(policy="reactive")
         scaler = ReactiveScaler(cfg, 8, 0.25)
-        band = cfg.pack_units * 0.25
+        band = PACK_UNITS * 0.25
         up, why = scaler.target(obs(routed_util=band * 1.5))
         assert up > 8 and "above band" in why
         down, why = scaler.target(obs(routed_util=band * 0.3))
@@ -115,30 +127,30 @@ class TestScalerLogic:
     def test_burnrate_hot_epoch_forces_up(self):
         scaler = BurnRateScaler(ScalerConfig(policy="burnrate"), 8, 0.25)
         target, why = scaler.target(
-            obs(burn_rate=2.0, demand_units=2.0, prev_demand_units=2.0)
+            obs(burn_rate=2.0, demand_units=2.0)
         )
         assert target > 8 and "hot" in why
 
     def test_burnrate_guard_event_counts_as_hot(self):
         scaler = BurnRateScaler(ScalerConfig(policy="burnrate"), 8, 0.25)
         target, why = scaler.target(
-            obs(guard_events=3, demand_units=2.0, prev_demand_units=2.0)
+            obs(guard_events=3, demand_units=2.0)
         )
         assert target > 8 and "hot" in why
 
     def test_burnrate_drains_only_after_cooldown(self):
-        cfg = ScalerConfig(policy="burnrate", cooldown_epochs=2)
+        cfg = ScalerConfig(policy="burnrate")
         scaler = BurnRateScaler(cfg, 8, 0.25)
-        calm = obs(demand_units=2.0, prev_demand_units=2.0, burn_rate=0.0)
+        calm = obs(demand_units=2.0, burn_rate=0.0)
         first, why = scaler.target(calm)
         assert first == 8 and "cooldown" in why
         second, why = scaler.target(calm)
         assert second < 8 and "drain" in why
 
     def test_burnrate_hot_epoch_resets_cooldown(self):
-        cfg = ScalerConfig(policy="burnrate", cooldown_epochs=2)
+        cfg = ScalerConfig(policy="burnrate")
         scaler = BurnRateScaler(cfg, 8, 0.25)
-        calm = obs(demand_units=2.0, prev_demand_units=2.0, burn_rate=0.0)
+        calm = obs(demand_units=2.0, burn_rate=0.0)
         scaler.target(calm)
         scaler.target(obs(burn_rate=2.0))  # hot: calm streak resets
         target, why = scaler.target(calm)
@@ -147,15 +159,13 @@ class TestScalerLogic:
     def test_burnrate_extrapolates_rising_demand_only(self):
         cfg = ScalerConfig(policy="burnrate", headroom_nodes=1)
         scaler = BurnRateScaler(cfg, 8, 0.25)
-        rising, _ = scaler.target(
-            obs(demand_units=8.0, prev_demand_units=6.0, active_nodes=7)
-        )
+        scaler.target(obs(demand_units=6.0, active_nodes=7))  # prior epoch
+        rising, _ = scaler.target(obs(demand_units=8.0, active_nodes=7))
         # projected 10 units / 1.45 + 1 headroom = 8 nodes
         assert rising == 8
         scaler = BurnRateScaler(cfg, 8, 0.25)
-        falling, why = scaler.target(
-            obs(demand_units=6.0, prev_demand_units=8.0, active_nodes=5)
-        )
+        scaler.target(obs(demand_units=8.0, active_nodes=5))  # prior epoch
+        falling, why = scaler.target(obs(demand_units=6.0, active_nodes=5))
         # falling demand is not extrapolated below its observed level
         assert falling == 6 and "needs 6" in why
 
@@ -386,7 +396,7 @@ class TestCanaryRollout:
         result = run_autoscale(AutoscaleSpec(
             scenario="diurnal", rate_nodes=3, span_ms=8000.0,
             epoch_ms=2000.0, scaler=ScalerConfig(policy="static"),
-            refit=RefitPlan(start_epoch=1, bias=1.0, noise=0.05,
+            refit=RefitPlan(bias=1.0, noise=0.05,
                             batch=2, regression_pct=5.0),
         ))
         assert result.rollout_status == "completed"
@@ -397,7 +407,7 @@ class TestCanaryRollout:
         result = run_autoscale(AutoscaleSpec(
             scenario="diurnal", rate_nodes=3, span_ms=8000.0,
             epoch_ms=2000.0, scaler=ScalerConfig(policy="static"),
-            refit=RefitPlan(start_epoch=1, bias=0.45, noise=0.8,
+            refit=RefitPlan(bias=0.45, noise=0.8,
                             batch=2, regression_pct=5.0),
         ))
         assert result.rollout_status == "aborted"
@@ -407,6 +417,36 @@ class TestCanaryRollout:
         assert gate.canary_p99_ms > gate.control_p99_ms
         # the blast radius stayed at one node for one epoch
         assert gate.nodes == (0,)
+
+
+class TestOneNodeEpoch:
+    @pytest.mark.parametrize("scenario_name", ["steady", "diurnal"])
+    @pytest.mark.parametrize("policy", list_policies())
+    def test_one_node_epoch_is_a_plain_replay(self, scenario_name, policy):
+        """One node serving a whole trace as one epoch (no penalty, no
+        guard, no faults) is the plain replay path on a fresh system."""
+        scenario = load_scenario(scenario_name)
+        run = scenario.run_config()
+        system = TackerSystem(config=run)
+        trace = synthesize_trace(
+            scenario, system.library, system.oracle, n_queries=60
+        )
+        (epoch,) = serve_epoch([EpochNodeSpec(
+            gpu="rtx2080ti", node=0, name="node000", epoch=0,
+            arrivals=tuple((s, t, 0.0) for t, s in trace.events()),
+            be_names=scenario.be_apps, span_ms=trace.horizon_ms(run.qos_ms),
+            run=run, policy=policy, guard=False, faults=None,
+        )])
+        plain = serve_trace(
+            TackerSystem(config=run), trace, scenario.be_apps, policy
+        )
+        assert epoch.n_queries == plain.n_queries == len(trace)
+        assert epoch.n_violations == plain.n_violations
+        assert epoch.be_work_ms == plain.total_be_work_ms
+        assert (
+            epoch.n_lc_kernels, epoch.n_be_kernels, epoch.n_fused_kernels
+        ) == (plain.n_lc_kernels, plain.n_be_kernels, plain.n_fused_kernels)
+        assert epoch.sketch.quantile(0.99) == plain.p99_latency_ms
 
 
 class TestDeterminism:

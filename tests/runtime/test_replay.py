@@ -12,7 +12,6 @@ from repro.runtime.replay import (
     DiurnalProfile,
     FlashCrowdProfile,
     MMPPProfile,
-    RecordedTraceSource,
     Scenario,
     StreamingResult,
     TenantChurnProfile,
@@ -91,12 +90,16 @@ class TestTrace:
     ):
         trace = synthesize_trace(scenario(), library, oracle)
         path = trace.write_jsonl(tmp_path / "t.jsonl")
-        short = RecordedTraceSource(path).trace(library, oracle, n_queries=7)
+        recorded = Trace.read_jsonl(path)
+        short = recorded.prefix(7)
         assert len(short) == 7
         assert np.array_equal(short.arrivals_ms, trace.arrivals_ms[:7])
+        assert np.array_equal(short.service_idx, trace.service_idx[:7])
         assert short.meta["truncated_to"] == 7
-        full = RecordedTraceSource(path).trace(library, oracle)
+        assert "truncated_to" not in recorded.meta
+        full = recorded.prefix(len(trace))
         assert len(full) == len(trace)
+        assert "truncated_to" not in full.meta
 
 
 class TestProfiles:
