@@ -120,46 +120,54 @@ def worker_count(workers: Optional[int] = None) -> int:
         return 1
 
 
-def _store_snapshot() -> dict[str, dict]:
-    """Current persistent-store contents of every system, keyed by path."""
-    snapshot: dict[str, dict] = {}
-    for system in _SYSTEMS.values():
-        store = system.oracle.store
-        if store is not None:
-            snapshot[str(store.path)] = {
-                "solo": dict(store.solo),
-                "fused": dict(store.fused),
-            }
-    return snapshot
+def _stores() -> list:
+    """Every shared system's persistent store, each distinct one once
+    (the systems of one GPU share one store)."""
+    stores = (system.oracle.store for system in _SYSTEMS.values())
+    return list({id(s): s for s in stores if s is not None}.values())
+
+
+def _store_delta(before: dict[str, tuple[set, set]]) -> dict[str, dict]:
+    """Each store's entries whose keys ``before`` lacks, by path."""
+    delta: dict[str, dict] = {}
+    for store in _stores():
+        path = str(store.path)
+        solo_keys, fused_keys = before.get(path, ((), ()))
+        solo = {k: v for k, v in store.solo.items() if k not in solo_keys}
+        fused = {k: v for k, v in store.fused.items() if k not in fused_keys}
+        if solo or fused:
+            delta[path] = {"solo": solo, "fused": fused}
+    return delta
 
 
 def _invoke_task(payload):
     """Worker-side wrapper: run the item, ship back new store entries.
 
-    Also ships the *delta* of the worker's process-global metrics
-    registry across this item — a delta, not a snapshot, because pooled
-    worker processes are reused across items and a snapshot would
-    double-count earlier items' metrics when the parent folds them in.
+    Both the store entries and the worker's process-global metrics are
+    the item's *delta*: pooled worker processes are reused across items,
+    and a snapshot would re-ship or double-count earlier items' work.
     """
     fn, item = payload
     os.environ[_IN_WORKER_ENV] = "1"
     before = telemetry.registry().snapshot()
+    keys = {str(s.path): (set(s.solo), set(s.fused)) for s in _stores()}
     result = fn(item)
-    return result, _store_snapshot(), telemetry.registry().diff(before)
+    return result, _store_delta(keys), telemetry.registry().diff(before)
 
 
-def _merge_store_snapshots(snapshots: Iterable[dict[str, dict]]) -> None:
-    """Fold workers' store contents into the parent's stores."""
-    for snapshot in snapshots:
-        for path, sections in snapshot.items():
-            for system in _SYSTEMS.values():
-                store = system.oracle.store
-                if store is not None and str(store.path) == path:
-                    before = len(store)
-                    store.solo.update(sections["solo"])
-                    store.fused.update(sections["fused"])
-                    if len(store) != before:
-                        store._dirty = True
+def _merge_store_deltas(deltas: Iterable[dict[str, dict]]) -> None:
+    """Fold workers' new store entries into the parent's stores."""
+    stores = _stores()
+    for delta in deltas:
+        for store in stores:
+            sections = delta.get(str(store.path))
+            if sections is None:
+                continue
+            before = len(store)
+            store.solo.update(sections["solo"])
+            store.fused.update(sections["fused"])
+            if len(store) != before:
+                store._dirty = True
 
 
 def parallel_map(
@@ -196,7 +204,7 @@ def parallel_map(
                 shipped.append(future.result())
             except Exception as exc:  # reported below, after the merge
                 failures.append((index, exc))
-    _merge_store_snapshots(snapshot for _, snapshot, _ in shipped)
+    _merge_store_deltas(delta for _, delta, _ in shipped)
     # Metrics registries merge in submission order: counter/histogram
     # deltas add (commutative), gauges last-write-wins — the same final
     # state a serial run would leave.

@@ -18,18 +18,22 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 from ..errors import SchedulingError
+from ..telemetry.decisions import ReservationEntry
 from .query import KernelInstance, Query
 
 #: Predicted duration of one kernel instance, in milliseconds.
 Predictor = Callable[[KernelInstance], float]
 
-#: lazily bound ReservationEntry (avoids a per-call import in
-#: ``headroom_detail`` and an import cycle at module load)
-_ReservationEntry = None
-
 
 class HeadroomTracker:
-    """Computes the schedulable BE headroom at a point in time."""
+    """Computes the schedulable BE headroom at a point in time.
+
+    A query's predicted remaining work is its plan's suffix column for
+    this tracker at the predictor's model version (``version``; None =
+    the predictions never change).  The column is built right to left
+    on the first read after the version advances — an online
+    >10%-error refit or a bundle load — and indexed by cursor after.
+    """
 
     def __init__(self, qos_ms: float, predictor: Predictor,
                  version: Optional[Callable[[], int]] = None):
@@ -37,96 +41,56 @@ class HeadroomTracker:
             raise SchedulingError("QoS target must be positive")
         self.qos_ms = qos_ms
         self._predict = predictor
-        # Suffix sums of predicted durations per kernel sequence.  The
-        # key covers every (kernel, grid) in the sequence — not just the
-        # endpoints — so two services sharing model name, length, and
-        # first/last kernels never alias each other's sums.
-        self._suffix: dict[str, list[float]] = {}
-        # The predictor's model-version counter.  Whenever it advances
-        # (the online >10%-error retrain path, or a bundle load), every
-        # cached suffix sum is stale and must be rebuilt.
-        self._version = version
-        self._version_seen = version() if version is not None else 0
-
-    def invalidate(self) -> None:
-        """Drop all cached suffix sums (call after any model refresh)."""
-        self._suffix.clear()
-
-    def _sync_version(self) -> None:
-        if self._version is None:
-            return
-        current = self._version()
-        if current != self._version_seen:
-            self._version_seen = current
-            self.invalidate()
+        self._version = version if version is not None else lambda: 0
 
     def predicted_remaining_ms(self, query: Query) -> float:
         """LR-predicted GPU time of a query's unexecuted kernels."""
-        self._sync_version()
-        key = query.sequence_key
-        suffix = self._suffix.get(key)
-        if suffix is None:
-            suffix = [0.0]
-            for instance in reversed(query.instances):
-                suffix.append(suffix[-1] + self._predict(instance))
-            suffix.reverse()
-            self._suffix[key] = suffix
-        return suffix[query.cursor]
+        return query.plan.suffix_ms(self, self._version(), self._predict)[
+            query.cursor
+        ]
 
-    def headroom_ms(self, now_ms: float, active: Sequence[Query]) -> float:
-        """BE headroom given the FIFO set of active queries (Eq. 9).
+    def reservation(
+        self, now_ms: float, active: Sequence[Query],
+        entries: Optional[list] = None,
+    ) -> tuple[float, float]:
+        """The Eq. 9 headroom of the FIFO set of active queries and their
+        total predicted remaining work, in one pass.
 
-        Returns ``+inf`` when no query is active (pure best-effort
-        periods are unconstrained) and can go negative when a query is
-        already doomed — the scheduler then launches LC kernels back to
-        back ("If the Thr of the new query is close to 0, Tacker
-        directly launches all the kernels").
+        The headroom is ``+inf`` with no active query and goes negative
+        when a query is already doomed — the scheduler then launches LC
+        kernels back to back.  ``entries``, when given, receives each
+        query's :class:`repro.telemetry.ReservationEntry`.
         """
-        if not active:
-            return float("inf")
+        version = self._version()
         slack = float("inf")
         reserved_ahead = 0.0
         for query in active:
-            remaining = self.predicted_remaining_ms(query)
+            remaining = query.plan.suffix_ms(self, version, self._predict)[
+                query.cursor
+            ]
             elapsed = now_ms - query.arrival_ms
-            slack = min(
-                slack, self.qos_ms - elapsed - reserved_ahead - remaining
-            )
+            own = self.qos_ms - elapsed - reserved_ahead - remaining
+            if entries is not None:
+                entries.append(ReservationEntry(
+                    service=query.model.name,
+                    arrival_ms=query.arrival_ms,
+                    elapsed_ms=elapsed,
+                    remaining_ms=remaining,
+                    reserved_ahead_ms=reserved_ahead,
+                    slack_ms=own,
+                ))
+            slack = min(slack, own)
             reserved_ahead += remaining
-        return slack
+        return slack, reserved_ahead
+
+    def headroom_ms(self, now_ms: float, active: Sequence[Query]) -> float:
+        """BE headroom given the FIFO set of active queries (Eq. 9)."""
+        return self.reservation(now_ms, active)[0]
 
     def headroom_detail(
         self, now_ms: float, active: Sequence[Query]
-    ) -> tuple[float, tuple]:
-        """:meth:`headroom_ms` plus the per-query Eq. 9 math.
-
-        Returns ``(headroom, entries)`` where each entry is a
-        :class:`repro.telemetry.ReservationEntry` — the elapsed time,
-        predicted remaining work, reserved time ahead and resulting
-        slack for one active query.  Only called when telemetry is on;
-        the plain :meth:`headroom_ms` stays the hot path.
-        """
-        global _ReservationEntry
-        if _ReservationEntry is None:
-            from ..telemetry.decisions import ReservationEntry
-            _ReservationEntry = ReservationEntry
-        ReservationEntry = _ReservationEntry
-
-        slack = float("inf")
-        reserved_ahead = 0.0
-        entries = []
-        for query in active:
-            remaining = self.predicted_remaining_ms(query)
-            elapsed = now_ms - query.arrival_ms
-            own = self.qos_ms - elapsed - reserved_ahead - remaining
-            entries.append(ReservationEntry(
-                service=query.model.name,
-                arrival_ms=query.arrival_ms,
-                elapsed_ms=elapsed,
-                remaining_ms=remaining,
-                reserved_ahead_ms=reserved_ahead,
-                slack_ms=own,
-            ))
-            slack = min(slack, own)
-            reserved_ahead += remaining
-        return slack, tuple(entries)
+    ) -> tuple[float, float, tuple]:
+        """:meth:`reservation` plus its per-query entries (telemetry)."""
+        entries: list = []
+        headroom, reserved = self.reservation(now_ms, active, entries)
+        return headroom, reserved, tuple(entries)

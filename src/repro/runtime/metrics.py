@@ -111,6 +111,17 @@ class QuantileSketch:
         self._min = min(self._min, other._min)
         self._max = max(self._max, other._max)
 
+    def __eq__(self, other: object) -> bool:
+        """Value equality: geometry, bin counts and exact aggregates."""
+        if not isinstance(other, QuantileSketch):
+            return NotImplemented
+        fields = ("upper_ms", "bins", "overflow", "n", "sum", "_min", "_max")
+        return all(
+            getattr(self, name) == getattr(other, name) for name in fields
+        ) and np.array_equal(self.counts, other.counts)
+
+    __hash__ = None  # mutable
+
     def to_dict(self) -> dict:
         """JSON-safe snapshot (bins are elided; aggregates are exact)."""
         return {

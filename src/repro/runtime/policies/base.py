@@ -7,8 +7,8 @@ A scheduler policy is a plugin.  The protocol is
 and the :attr:`SchedulerPolicy.policy_name` stamp.  Beyond it, the
 server reads ``policy.guard`` (the mispredict guard, or None),
 ``policy.headroom.qos_ms`` (the internal target of its ground-truth
-admission control), ``policy.predict_ms`` (to price the LC launch that
-replaces a refused BE launch) and ``policy.models.observe_fused``
+admission control), ``policy.predict_lc_ms`` (to price the LC launch
+that replaces a refused BE launch) and ``policy.models.observe_fused``
 (online fused-model maintenance), and sets ``policy.telemetry`` to the
 run's session and ``policy.models.perturb`` for a faulted run.
 Everything else here (the reorder/pure-BE helpers, the
@@ -23,7 +23,10 @@ and the models only change on an online refit or a bundle load, which
 advance ``models.version`` and empty the policy's tables.  While a
 prediction perturbation is installed (``models.perturb``, the
 fault-injection hook) the memo is bypassed, because the perturbation
-draws from its RNG on every prediction.  An :class:`Action` is a
+draws from its RNG on every prediction; the same holds for the LC
+kernel's price read off its query's plan and a BE head's, priced once
+per stream cursor (:meth:`SchedulerPolicy.predict_lc_ms`,
+:meth:`SchedulerPolicy.predict_head_ms`).  An :class:`Action` is a
 plain mutable record, cheap to build once per decision; the server
 reads it after ``decide`` returns, so a policy must not change an
 ``Action`` it has returned.
@@ -311,6 +314,30 @@ class SchedulerPolicy(ABC):
             )
         return ms
 
+    def predict_lc_ms(self, query: Query) -> float:
+        """:meth:`predict_ms` of the query's current kernel, read off
+        its plan (one column per headroom tracker and model version)."""
+        models = self.models
+        if models.perturb is not None:
+            return self.predict_ms(query.current)
+        return query.plan.predicted_ms(
+            self.headroom, models.version, self.predict_ms
+        )[query.cursor]
+
+    def predict_head_ms(self, app: BEApplication) -> float:
+        """:meth:`predict_ms` of a BE stream's head kernel, priced once
+        per stream cursor, policy and model version."""
+        models = self.models
+        if models.perturb is not None:
+            return self.predict_ms(app.head)
+        priced = app.head_price
+        if (priced is not None and priced[0] == app.cursor
+                and priced[1] is self and priced[2] == models.version):
+            return priced[3]
+        ms = self.predict_ms(app.head)
+        app.head_price = (app.cursor, self, models.version, ms)
+        return ms
+
     def predict_fused_ms(
         self, fused: FusedKernel, tc_ms: float, cd_ms: float
     ) -> float:
@@ -341,7 +368,7 @@ class SchedulerPolicy(ABC):
             self.guard.note_query(latency_ms, self.qos_ms)
 
     def _guarded_thr(self, thr_ms: float, active: Sequence[Query]) -> float:
-        """The headroom threshold after guard inflation (Eq. 8's Thr).
+        """A headroom threshold after guard inflation (Eq. 8's Thr).
 
         Subtracts the error band scaled by every active query's
         predicted remaining work — the work the band applies to.
@@ -358,10 +385,13 @@ class SchedulerPolicy(ABC):
     ) -> float:
         """The BE-admission threshold ``Thr`` at this instant (Eq. 9
         headroom, after guard inflation).  Pure — safe for the auditor
-        to recompute alongside a decision."""
-        return self._guarded_thr(
-            self.headroom.headroom_ms(now_ms, active), active
-        )
+        to recompute alongside a decision.  Equals
+        ``_guarded_thr(headroom_ms(...), active)`` in one pass: the
+        guard's remaining-work sum is the Eq. 9 loop's ``reserved``."""
+        headroom, reserved = self.headroom.reservation(now_ms, active)
+        if self.guard is None:
+            return headroom
+        return headroom - self.guard.margin_ms(reserved)
 
     # -- telemetry --------------------------------------------------------------
 
@@ -375,12 +405,12 @@ class SchedulerPolicy(ABC):
         — but keeps the math, so the decision log can show *why* the
         threshold was what it was.
         """
-        headroom, entries = self.headroom.headroom_detail(now_ms, active)
+        headroom, reserved, entries = self.headroom.headroom_detail(
+            now_ms, active
+        )
         margin = 0.0
         if self.guard is not None:
-            margin = self.guard.margin_ms(
-                sum(entry.remaining_ms for entry in entries)
-            )
+            margin = self.guard.margin_ms(reserved)
         thr = headroom - margin
         record = ReservationRecord(
             qos_ms=self.headroom.qos_ms,
@@ -470,7 +500,7 @@ class SchedulerPolicy(ABC):
         position = (query.qid, len(query.instances) - query.cursor)
         if position != self._reordered_at:
             for app in self._be_rotation(be_apps):
-                be_ms = self.predict_ms(app.head)
+                be_ms = self.predict_head_ms(app)
                 if be_ms < thr_ms:
                     self._rr += 1
                     self._reordered_at = position
@@ -478,8 +508,7 @@ class SchedulerPolicy(ABC):
                         kind="be", be_app=app, predicted_be_ms=be_ms
                     )
         return Action(
-            kind="lc", query=query,
-            predicted_lc_ms=self.predict_ms(query.current),
+            kind="lc", query=query, predicted_lc_ms=self.predict_lc_ms(query)
         )
 
     def _pure_be(
@@ -495,5 +524,5 @@ class SchedulerPolicy(ABC):
         app = be_apps[self._rr % len(be_apps)]
         self._rr += 1
         return Action(
-            kind="be", be_app=app, predicted_be_ms=self.predict_ms(app.head)
+            kind="be", be_app=app, predicted_be_ms=self.predict_head_ms(app)
         )

@@ -27,7 +27,7 @@ class BaymaxPolicy(SchedulerPolicy):
             if guard_mode == "exclusive":
                 action = Action(
                     kind="lc", query=query,
-                    predicted_lc_ms=self.predict_ms(query.current),
+                    predicted_lc_ms=self.predict_lc_ms(query),
                 )
                 if session is not None:
                     self._record_decision(

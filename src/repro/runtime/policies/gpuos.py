@@ -59,13 +59,13 @@ class GPUOSPolicy(TackerPolicy):
         # Unpaced: any BE head that fits the instantaneous headroom
         # launches, at every boundary (no one-per-LC-kernel pacing).
         for app in self._be_rotation(be_apps):
-            be_ms = self.predict_ms(app.head)
+            be_ms = self.predict_head_ms(app)
             if be_ms < thr_ms:
                 self._rr += 1
                 return Action(kind="be", be_app=app, predicted_be_ms=be_ms)
         return Action(
             kind="lc", query=query,
-            predicted_lc_ms=self.predict_ms(query.current),
+            predicted_lc_ms=self.predict_lc_ms(query),
         )
 
 

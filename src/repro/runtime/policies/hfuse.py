@@ -140,7 +140,7 @@ class HFusePolicy(SchedulerPolicy):
             if mode == "exclusive":
                 action = Action(
                     kind="lc", query=query,
-                    predicted_lc_ms=self.predict_ms(query.current),
+                    predicted_lc_ms=self.predict_lc_ms(query),
                 )
                 if session is not None:
                     self._record_decision(

@@ -119,8 +119,7 @@ class TackerPolicy(SchedulerPolicy):
         #: (LC kernel, grid, BE kernel, grid, BE fusable) -> Quote
         self._quotes: dict[tuple, Quote] = {}
         self._cost_cache: dict[tuple, float] = {}
-        self._reserve_cache: dict[tuple, list[float]] = {}
-        self._tables += [self._quotes, self._cost_cache, self._reserve_cache]
+        self._tables += [self._quotes, self._cost_cache]
         #: identity-keyed memo of the BE-app name tuple — the server
         #: passes the same sequence object on every decision
         self._be_names_cache: Optional[tuple] = None
@@ -249,25 +248,21 @@ class TackerPolicy(SchedulerPolicy):
         Section IV: "We prioritize the selection of the fused pair" —
         directly-launched BE kernels must not starve upcoming fusions,
         so reordering only spends headroom beyond this reservation.
-        Suffix sums over the (static) kernel sequence make the lookup
-        O(1) per decision.
+        Suffix sums over the (static) kernel sequence, one column of the
+        query's plan per (policy, BE-name tuple) and table version, make
+        the lookup O(1) per decision.
         """
         if self.models.version != self._tables_version:
             self._drop_tables()
-        key = (query.sequence_key, self._be_names(be_apps))
-        suffix = self._reserve_cache.get(key)
-        if suffix is None:
-            suffix = [0.0]
-            for instance in reversed(query.instances):
-                cost = (
-                    self._fusion_cost_ms(instance.name, be_apps)
-                    if instance.kind == "tc" and instance.fusable
-                    else 0.0
-                )
-                suffix.append(suffix[-1] + cost)
-            suffix.reverse()
-            self._reserve_cache[key] = suffix
-        return suffix[query.cursor]
+
+        def cost(instance: KernelInstance) -> float:
+            if instance.kind == "tc" and instance.fusable:
+                return self._fusion_cost_ms(instance.name, be_apps)
+            return 0.0
+
+        return query.plan.suffix_ms(
+            (self, self._be_names(be_apps)), self._tables_version, cost
+        )[query.cursor]
 
     def decide(self, now_ms, active, be_apps):
         self.decisions += 1
@@ -286,7 +281,7 @@ class TackerPolicy(SchedulerPolicy):
             if mode == "exclusive":
                 action = Action(
                     kind="lc", query=query,
-                    predicted_lc_ms=self.predict_ms(query.current),
+                    predicted_lc_ms=self.predict_lc_ms(query),
                 )
                 if session is not None:
                     self._record_decision(
@@ -325,7 +320,7 @@ class TackerPolicy(SchedulerPolicy):
         if not self.enable_reorder:
             action = Action(
                 kind="lc", query=query,
-                predicted_lc_ms=self.predict_ms(lc_instance),
+                predicted_lc_ms=self.predict_lc_ms(query),
             )
             if session is not None:
                 self._record_decision(

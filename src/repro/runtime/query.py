@@ -37,14 +37,87 @@ class KernelInstance:
         return self.kernel.kind
 
 
+class KernelPlan:
+    """Per-cursor prices of one kernel-instance sequence.
+
+    A query's kernels and grids are fixed when it arrives, and so are
+    their solo, served and predicted durations and every remaining-work
+    sum.  A plan builds each as a list indexed by cursor, once, keyed by
+    its owner (oracle and slow factor, headroom tracker or policy) and
+    stamped with a model version where predictions feed it.  Every
+    query of a service shares one plan (``TackerSystem.serve_arrivals``
+    and ``PoissonArrivals.queries`` pass it); any other query builds
+    its own.
+    """
+
+    __slots__ = ("instances", "_served", "_remaining", "_predicted",
+                 "_suffix")
+
+    def __init__(self, instances: tuple[KernelInstance, ...]):
+        self.instances = instances
+        self._served: dict = {}  # (oracle, factor) -> column
+        self._remaining: dict = {}  # (oracle, factor) -> column
+        self._predicted: dict = {}  # key -> (version, column)
+        self._suffix: dict = {}  # key -> (version, column)
+
+    def served_ms(self, oracle, factor: float) -> list[float]:
+        """Each kernel's duration on a node ``factor`` times slower (at
+        1.0, the oracle's solo duration)."""
+        served = self._served.get((oracle, factor))
+        if served is None:
+            served = self._served[oracle, factor] = [
+                oracle.solo_ms(i.kernel, i.grid) * factor
+                for i in self.instances
+            ]
+        return served
+
+    def remaining_ms(self, oracle, factor: float) -> list[float]:
+        """Ground-truth remaining work at each cursor, the end included.
+
+        Each sum adds the served terms left to right, as ``sum()`` over
+        the remaining kernels does, so admission control stays
+        bit-identical: O(n^2) once per (oracle, factor).
+        """
+        remaining = self._remaining.get((oracle, factor))
+        if remaining is None:
+            served = self.served_ms(oracle, factor)
+            remaining = self._remaining[oracle, factor] = [
+                sum(served[cursor:]) for cursor in range(len(served) + 1)
+            ]
+        return remaining
+
+    def predicted_ms(self, key, version: int, predict) -> list[float]:
+        """``predict(instance)`` per kernel, once per (key, version)."""
+        entry = self._predicted.get(key)
+        if entry is None or entry[0] != version:
+            entry = self._predicted[key] = (
+                version, [predict(i) for i in self.instances]
+            )
+        return entry[1]
+
+    def suffix_ms(self, key, version: int, term) -> list[float]:
+        """Sums of ``term(instance)`` from each cursor to the end, built
+        right to left once per (key, version)."""
+        entry = self._suffix.get(key)
+        if entry is None or entry[0] != version:
+            suffix = [0.0]
+            for instance in reversed(self.instances):
+                suffix.append(suffix[-1] + term(instance))
+            suffix.reverse()
+            entry = self._suffix[key] = (version, suffix)
+        return entry[1]
+
+
 class Query:
-    """One in-flight LC query: a cursor over its model's kernels."""
+    """One in-flight LC query: a cursor over its model's kernels, whose
+    prices are ``plan``'s columns at ``cursor``."""
 
     _ids = itertools.count()
 
     def __init__(self, model: ModelSpec, arrival_ms: float,
                  instances: tuple[KernelInstance, ...],
-                 penalty_ms: float = 0.0):
+                 penalty_ms: float = 0.0,
+                 plan: Optional[KernelPlan] = None):
         self.qid = next(Query._ids)
         self.model = model
         self.arrival_ms = arrival_ms
@@ -53,55 +126,31 @@ class Query:
         #: waiting there, so hand-offs cannot launder tail latency
         self.penalty_ms = penalty_ms
         self.instances = instances
-        self._cursor = 0
-        self._sequence_key: Optional[str] = None
+        self.plan = plan if plan is not None else KernelPlan(instances)
+        #: index of the next kernel to execute
+        self.cursor = 0
         self.finish_ms: Optional[float] = None
 
     @property
-    def cursor(self) -> int:
-        """Index of the next kernel to execute."""
-        return self._cursor
-
-    @property
-    def sequence_key(self) -> str:
-        """Collision-free cache key over the full kernel sequence.
-
-        Two services can share model name, sequence length, and
-        first/last kernels while differing in the middle, so any key
-        that elides interior instances aliases their cached suffix
-        sums.  Grids matter too: they change predicted durations.
-
-        A string rather than a tuple of pairs: strings cache their
-        hash, so the headroom tracker's per-step cache lookups hash
-        the sequence once per query instead of once per call.
-        """
-        if self._sequence_key is None:
-            self._sequence_key = ";".join(
-                f"{instance.name}@{instance.grid}"
-                for instance in self.instances
-            )
-        return self._sequence_key
-
-    @property
     def done(self) -> bool:
-        return self._cursor >= len(self.instances)
+        return self.cursor >= len(self.instances)
 
     @property
     def current(self) -> KernelInstance:
-        if self.done:
+        if self.cursor >= len(self.instances):
             raise SchedulingError(f"query {self.qid} has no pending kernels")
-        return self.instances[self._cursor]
+        return self.instances[self.cursor]
 
     @property
     def remaining(self) -> tuple[KernelInstance, ...]:
-        return self.instances[self._cursor:]
+        return self.instances[self.cursor:]
 
     def advance(self, now_ms: float) -> None:
         """Mark the current kernel complete."""
-        if self.done:
+        if self.cursor >= len(self.instances):
             raise SchedulingError(f"query {self.qid} already complete")
-        self._cursor += 1
-        if self.done:
+        self.cursor += 1
+        if self.cursor == len(self.instances):
             self.finish_ms = now_ms
 
     @property
@@ -131,12 +180,18 @@ class BEApplication:
     sequence: tuple[KernelInstance, ...]
     memory_intensive: bool = False
     input_scales: tuple[float, ...] = (1.0,)
-    _cursor: int = 0
+    #: index of the head kernel in the endless stream
+    cursor: int = 0
     completed_kernels: int = field(default=0)
     completed_work_ms: float = field(default=0.0)
     #: (cursor, instance) memo — ``head`` is consulted many times per
     #: scheduling step and the input-scale digest is pure in the cursor
     _head_cache: Optional[tuple] = field(
+        default=None, repr=False, compare=False
+    )
+    #: (cursor, policy, model version, predicted ms) of the head, set
+    #: by ``SchedulerPolicy.predict_head_ms``
+    head_price: Optional[tuple] = field(
         default=None, repr=False, compare=False
     )
 
@@ -158,10 +213,10 @@ class BEApplication:
     def head(self) -> KernelInstance:
         """The next kernel the stream wants to run (input-scaled)."""
         cached = self._head_cache
-        if cached is not None and cached[0] == self._cursor:
+        if cached is not None and cached[0] == self.cursor:
             return cached[1]
-        base = self.sequence[self._cursor % len(self.sequence)]
-        scale = self._scale_at(self._cursor)
+        base = self.sequence[self.cursor % len(self.sequence)]
+        scale = self._scale_at(self.cursor)
         if scale == 1.0:
             instance = base
         else:
@@ -170,11 +225,11 @@ class BEApplication:
                 grid=max(1, round(base.grid * scale)),
                 fusable=base.fusable,
             )
-        self._head_cache = (self._cursor, instance)
+        self._head_cache = (self.cursor, instance)
         return instance
 
     def complete_head(self, solo_work_ms: float) -> None:
         """Retire the head kernel, crediting its solo-duration work."""
-        self._cursor += 1
+        self.cursor += 1
         self.completed_kernels += 1
         self.completed_work_ms += solo_work_ms

@@ -367,7 +367,9 @@ class ColocationServer:
 
     def _true_remaining_ms(self, query: Query) -> float:
         """Ground-truth GPU time of a query's unexecuted kernels."""
-        return sum(self._solo_ms(inst) for inst in query.remaining)
+        return query.plan.remaining_ms(
+            self.oracle, self.slow_factor
+        )[query.cursor]
 
     def true_headroom_ms(self, now: float, active: list[Query]) -> float:
         """Eq. 9 headroom computed from *actual* durations, not predictions.
@@ -381,8 +383,9 @@ class ColocationServer:
         slack = float("inf")
         reserved_ahead = 0.0
         internal_qos = self.policy.headroom.qos_ms
+        oracle, factor = self.oracle, self.slow_factor
         for query in active:
-            remaining = self._true_remaining_ms(query)
+            remaining = query.plan.remaining_ms(oracle, factor)[query.cursor]
             elapsed = now - query.arrival_ms
             slack = min(
                 slack, internal_qos - elapsed - reserved_ahead - remaining
@@ -428,7 +431,7 @@ class ColocationServer:
         query = active[0]
         return Action(
             kind="lc", query=query,
-            predicted_lc_ms=self.policy.predict_ms(query.current),
+            predicted_lc_ms=self.policy.predict_lc_ms(query),
         )
 
     # -- the launch path: price, then commit ----------------------------------
@@ -461,8 +464,14 @@ class ColocationServer:
         kind = action.kind
         if kind == "lc" or kind == "be":
             lc = kind == "lc"
-            instance = action.query.current if lc else action.be_app.head
-            duration = self._solo_ms(instance)
+            if lc:
+                query = action.query
+                instance = query.current
+                served = query.plan.served_ms(self.oracle, self.slow_factor)
+                duration = served[query.cursor]
+            else:
+                instance = action.be_app.head
+                duration = self._solo_ms(instance)
             end = now + duration
             tc = instance.kind == "tc"
             return (

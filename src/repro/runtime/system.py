@@ -41,7 +41,7 @@ from ..predictor.online import OnlineModelManager
 from .faults import FaultPlan, make_injector
 from .oracle import DurationOracle, OracleStore, gpu_fingerprint
 from .policies import GuardConfig, SchedulerPolicy, policy_from_name
-from .query import BEApplication, Query
+from .query import BEApplication, KernelPlan, Query
 from .runconfig import DEFAULT_RUN_CONFIG, RunConfig
 from .server import ColocationServer, ServerResult
 from .workload import PoissonArrivals, be_application, query_instances
@@ -346,8 +346,8 @@ class TackerSystem:
         fresh injector for ``faults``, and serve the BE applications
         with the queries of ``arrivals``.  ``arrivals`` yields
         ``(service, arrival_ms[, penalty_ms])`` tuples in arrival order
-        and is turned into queries lazily, sharing one kernel-instance
-        tuple per service; ``services`` names every service it may
+        and is turned into queries lazily, sharing one kernel plan per
+        service; ``services`` names every service it may
         carry.  ``horizon_ms`` and ``result`` go to
         :meth:`ColocationServer.serve`, the other keywords to the
         server (``slow_factor``, ``record_kernels``, ``monitor``,
@@ -358,12 +358,13 @@ class TackerSystem:
         for model in models.values():
             for app in be_apps:
                 self.prepare_pair(model, app)
-        instances = {
-            name: query_instances(model, self.library)
+        plans = {
+            name: KernelPlan(query_instances(model, self.library))
             for name, model in models.items()
         }
         queries = (
-            Query(models[name], arrival_ms, instances[name], *penalty)
+            Query(models[name], arrival_ms, plans[name].instances, *penalty,
+                  plan=plans[name])
             for name, arrival_ms, *penalty in arrivals
         )
         server = ColocationServer(

@@ -18,7 +18,7 @@ from ..kernels.library import KernelLibrary
 from ..models.training import TRAINING_JOBS, training_job
 from ..models.zoo import ModelSpec
 from .oracle import DurationOracle
-from .query import BEApplication, KernelInstance, Query
+from .query import BEApplication, KernelInstance, KernelPlan, Query
 
 #: Load factor of Section VIII-B: 80% of the peak supported load.
 DEFAULT_LOAD = 0.8
@@ -238,11 +238,9 @@ class PoissonArrivals:
             raise ConfigError(f"load must be in (0, 1], got {load}")
         self.model = model
         self.process = process
-        self._instances = query_instances(model, library)
+        self._plan = KernelPlan(query_instances(model, library))
         self._seed = seed
-        self.solo_ms = sum(
-            oracle.solo_ms(i.kernel, i.grid) for i in self._instances
-        )
+        self.solo_ms = sum(self._plan.served_ms(oracle, 1.0))
         self.rate_per_ms = load * calibrate_peak_rate(
             self.solo_ms, qos_ms, process=process
         )
@@ -259,7 +257,8 @@ class PoissonArrivals:
         gaps = arrival_gaps(self.rate_per_ms, count, self._seed, self.process)
         arrivals = fold_gaps_to_arrivals(gaps, gap_filter)
         return [
-            Query(self.model, float(t), self._instances) for t in arrivals
+            Query(self.model, float(t), self._plan.instances, plan=self._plan)
+            for t in arrivals
         ]
 
 

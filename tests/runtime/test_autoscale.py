@@ -27,6 +27,7 @@ from repro.runtime.autoscale import (
     StaticScaler,
     make_scaler,
     run_autoscale,
+    run_epoch_node,
     serve_epoch,
 )
 from repro.runtime.faults import NodeFault, NodeFaultPlan
@@ -450,6 +451,25 @@ class TestOneNodeEpoch:
 
 
 class TestDeterminism:
+    def test_node_epoch_stats_compare_by_value(self):
+        """Two runs of one node-epoch spec give equal stats, latency
+        sketch included — the check a parallel fan-out's audit makes."""
+        scenario = load_scenario("diurnal")
+        run = scenario.run_config()
+        system = TackerSystem(config=run)
+        trace = synthesize_trace(
+            scenario, system.library, system.oracle, n_queries=30
+        )
+        spec = EpochNodeSpec(
+            gpu="rtx2080ti", node=0, name="node000", epoch=0,
+            arrivals=tuple((s, t, 0.0) for t, s in trace.events()),
+            be_names=scenario.be_apps, span_ms=trace.horizon_ms(run.qos_ms),
+            run=run, policy="tacker", guard=True, faults=None,
+        )
+        first, second = run_epoch_node(spec), run_epoch_node(spec)
+        assert first.sketch is not second.sketch
+        assert first == second
+
     def test_sweep_render_identical_serial_vs_parallel(self):
         """The committed results table must not depend on the worker
         count — the property the CI determinism gate enforces."""

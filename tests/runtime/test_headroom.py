@@ -102,17 +102,6 @@ class TestSuffixCacheKey:
         assert t.predicted_remaining_ms(small) == pytest.approx(3.0)
         assert t.predicted_remaining_ms(large) == pytest.approx(5.0)
 
-    def test_invalidate_rebuilds_suffix_sums(self):
-        per_kernel = {"ms": 5.0}
-        t = HeadroomTracker(50.0, lambda inst: per_kernel["ms"])
-        q = query(arrival=0.0, n_kernels=2)
-        assert t.predicted_remaining_ms(q) == pytest.approx(10.0)
-        per_kernel["ms"] = 7.0
-        # Cached until explicitly invalidated...
-        assert t.predicted_remaining_ms(q) == pytest.approx(10.0)
-        t.invalidate()
-        assert t.predicted_remaining_ms(q) == pytest.approx(14.0)
-
     def test_model_version_bump_invalidates(self):
         state = {"ms": 5.0, "version": 0}
         t = HeadroomTracker(

@@ -252,3 +252,40 @@ class TestMergedFleetStats:
         assert stats["mean_ms"] == pytest.approx(145.0 / 3)
         assert stats["max_ms"] == pytest.approx(60.0)
         assert stats["violation_rate"] == pytest.approx(1 / 3)
+
+
+class TestSketchEquality:
+    """Sketches compare by value, so two folds of one stream (a serial
+    and a worker run of the same node-epoch) compare equal."""
+
+    @staticmethod
+    def sketch(values, bins=1024):
+        from repro.runtime.metrics import QuantileSketch
+
+        out = QuantileSketch(upper_ms=100.0, bins=bins)
+        for value in values:
+            out.add(value)
+        return out
+
+    def test_same_stream_is_equal(self):
+        assert self.sketch([40.0, 45.0, 120.0]) == self.sketch(
+            [40.0, 45.0, 120.0]
+        )
+
+    def test_one_bin_apart_is_unequal(self):
+        a = self.sketch([40.0, 45.0])
+        b = self.sketch([40.0, 45.0])
+        b.counts[0] += 1
+        assert a != b
+
+    def test_aggregates_and_geometry_count(self):
+        assert self.sketch([40.0]) != self.sketch([41.0])
+        assert self.sketch([40.0], bins=1024) != self.sketch(
+            [40.0], bins=2048
+        )
+        assert self.sketch([150.0]) != self.sketch([160.0])  # overflow max
+        assert self.sketch([40.0]) != [40.0]
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(self.sketch([40.0]))

@@ -329,6 +329,54 @@ class TestParallelSweeps:
         finally:
             common.reset_systems()
 
+    def test_parallel_map_ships_only_new_store_entries(
+        self, tmp_path, monkeypatch
+    ):
+        """Each item ships only the store entries it added, each
+        distinct store merges them once, and the parent's store ends as
+        a serial run leaves it."""
+        from repro.experiments import common
+
+        grids = [111, 112, 113, 114]
+        monkeypatch.setenv(common._IN_WORKER_ENV, "")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "serial"))
+        common.reset_systems()
+        try:
+            serial = common.get_system("rtx2080ti").oracle.store
+            common.parallel_map(_simulate_or_fail, grids, workers=1)
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "workers"))
+            common.reset_systems()
+            store = common.get_system("rtx2080ti").oracle.store
+            # a second system of the same GPU shares the store
+            common.get_system("rtx2080ti", common.DEFAULT_RUN_CONFIG
+                              .with_overrides(queries=7))
+            shipped = []
+            merge = common._merge_store_deltas
+
+            def record(deltas):
+                deltas = list(deltas)
+                shipped.extend(deltas)
+                merge(deltas)
+
+            monkeypatch.setattr(common, "_merge_store_deltas", record)
+            common.parallel_map(_simulate_or_fail, grids, workers=2)
+            assert (store.solo, store.fused) == (serial.solo, serial.fused)
+            assert len(shipped) == len(grids)
+            for grid, delta in zip(grids, shipped):
+                (sections,) = delta.values()
+                assert {key.rsplit("|", 1)[1] for key in sections["solo"]} \
+                    == {str(grid)}
+            # in process: a payload is exactly what the item added
+            before = set(store.solo)
+            _, delta, _ = common._invoke_task((_simulate_or_fail, 115))
+            (sections,) = delta.values()
+            assert set(sections["solo"]) == set(store.solo) - before
+            assert len(sections["solo"]) == 1 and not sections["fused"]
+            _, delta, _ = common._invoke_task((_simulate_or_fail, 115))
+            assert delta == {}
+        finally:
+            common.reset_systems()
+
     def test_parallel_fig14_identical_to_serial(self):
         """The acceptance bar: a parallel sweep is byte-identical to a
         serial one — same outcomes, same formatted table."""
