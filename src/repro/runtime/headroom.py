@@ -72,12 +72,8 @@ class HeadroomTracker:
             own = self.qos_ms - elapsed - reserved_ahead - remaining
             if entries is not None:
                 entries.append(ReservationEntry(
-                    service=query.model.name,
-                    arrival_ms=query.arrival_ms,
-                    elapsed_ms=elapsed,
-                    remaining_ms=remaining,
-                    reserved_ahead_ms=reserved_ahead,
-                    slack_ms=own,
+                    query.model.name, query.arrival_ms, elapsed, remaining,
+                    reserved_ahead, own,
                 ))
             slack = min(slack, own)
             reserved_ahead += remaining

@@ -412,14 +412,9 @@ class SchedulerPolicy(ABC):
         if self.guard is not None:
             margin = self.guard.margin_ms(reserved)
         thr = headroom - margin
-        record = ReservationRecord(
-            qos_ms=self.headroom.qos_ms,
-            entries=entries,
-            headroom_ms=headroom,
-            guard_margin_ms=margin,
-            thr_ms=thr,
+        return thr, ReservationRecord(
+            self.headroom.qos_ms, entries, headroom, margin, thr
         )
-        return thr, record
 
     def _record_decision(
         self,
@@ -434,33 +429,27 @@ class SchedulerPolicy(ABC):
         gain_ms: Optional[float] = None,
         guard_mode: Optional[str] = None,
     ) -> Action:
-        """Append one decision record to the attached session."""
-        session = self.telemetry
-        session.record_decision(DecisionRecord(
-            index=session.next_decision_index(),
-            now_ms=now_ms,
-            policy=self.policy_name,
-            kind=action.kind,
-            lc_service=query.model.name if query is not None else None,
-            lc_arrival_ms=query.arrival_ms if query is not None else None,
-            lc_kernel=query.current.name if query is not None else None,
-            be_app=action.be_app.name if action.be_app is not None else None,
-            be_app2=(
-                action.be_app2.name if action.be_app2 is not None else None
-            ),
-            riders=tuple(rider.name for rider in action.riders),
-            fused_kernel=(
-                action.fused.name if action.fused is not None else None
-            ),
-            guard_mode=guard_mode,
-            thr_ms=thr_ms,
-            reserve_ms=reserve_ms,
-            predicted_lc_ms=action.predicted_lc_ms,
-            predicted_be_ms=action.predicted_be_ms,
-            predicted_fused_ms=action.predicted_fused_ms,
-            gain_ms=gain_ms,
-            candidates=tuple(candidates),
-            reservation=reservation,
+        """Append one decision record to the attached session; its
+        index is its position in the log."""
+        decisions = self.telemetry.decisions
+        if query is None:
+            lc_service = lc_arrival_ms = lc_kernel = None
+        else:
+            lc_service = query.model.name
+            lc_arrival_ms = query.arrival_ms
+            lc_kernel = query.current.name
+        be_app, be_app2, fused = action.be_app, action.be_app2, action.fused
+        decisions.append(DecisionRecord(
+            len(decisions), now_ms, self.policy_name, action.kind,
+            lc_service, lc_arrival_ms, lc_kernel,
+            be_app.name if be_app is not None else None,
+            be_app2.name if be_app2 is not None else None,
+            tuple([rider.name for rider in action.riders]),
+            fused.name if fused is not None else None,
+            guard_mode, thr_ms, reserve_ms,
+            action.predicted_lc_ms, action.predicted_be_ms,
+            action.predicted_fused_ms, gain_ms, tuple(candidates),
+            reservation,
         ))
         return action
 

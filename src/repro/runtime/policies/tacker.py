@@ -73,15 +73,13 @@ class Quote(NamedTuple):
         """This quote as one decision-log evaluation."""
         if self.fused is None:
             return FusionCandidate(
-                be_app=be_app, tc=self.tc, cd=self.cd,
-                lc_is_tc=self.lc_is_tc, reason=self.reason,
+                be_app, self.tc, self.cd, None, None, None, self.lc_is_tc,
+                None, None, False, self.reason,
             )
         return FusionCandidate(
-            be_app=be_app, tc=self.tc, cd=self.cd,
-            ttc_ms=self.tc_ms, tcd_ms=self.cd_ms, tk_fuse_ms=self.fused_ms,
-            lc_is_tc=self.lc_is_tc, extra_lc_ms=self.extra_lc_ms,
-            gain_ms=self.gain_ms, admissible=admissible,
-            reason="" if admissible else REJECT_EQ8,
+            be_app, self.tc, self.cd, self.tc_ms, self.cd_ms, self.fused_ms,
+            self.lc_is_tc, self.extra_lc_ms, self.gain_ms, admissible,
+            "" if admissible else REJECT_EQ8,
         )
 
 

@@ -8,17 +8,19 @@ Eq. 8 candidate set with ``Ttc``, ``Tcd``, ``Tk_fuse``, the extra LC
 time and ``Tgain = Tcd - (Tk_fuse - Ttc)`` per candidate, plus the
 chosen pair.
 
-Records are plain dataclasses: picklable (worker results carry them
-back through ``parallel_map``), value-comparable, and exportable as
-JSONL with sorted keys so the log is byte-identical between serial and
-parallel runs of the same seed.
+Records are immutable named tuples, built once per decision on the
+telemetry path: a positional call is cheaper than a dataclass and keeps
+no per-record ``__dict__``.  They are picklable (worker results carry
+them back through ``parallel_map``), value-comparable, hashable
+(``_replace`` makes a changed copy), and exportable as JSONL with sorted
+keys so the log is byte-identical between serial and parallel runs of
+the same seed.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from ..errors import ConfigError
 
@@ -28,8 +30,7 @@ REJECT_NO_ARTIFACT = "no-artifact"
 REJECT_EQ8 = "eq8-reject"
 
 
-@dataclass(frozen=True)
-class FusionCandidate:
+class FusionCandidate(NamedTuple):
     """One Eq. 8 evaluation: the LC kernel against one BE app's head."""
 
     be_app: str
@@ -48,8 +49,7 @@ class FusionCandidate:
     reason: str = ""
 
 
-@dataclass(frozen=True)
-class ReservationEntry:
+class ReservationEntry(NamedTuple):
     """One active query's row in the Eq. 9 FIFO reservation."""
 
     service: str
@@ -60,8 +60,7 @@ class ReservationEntry:
     slack_ms: float
 
 
-@dataclass(frozen=True)
-class ReservationRecord:
+class ReservationRecord(NamedTuple):
     """The Eq. 9 headroom math behind one decision."""
 
     qos_ms: float
@@ -71,8 +70,7 @@ class ReservationRecord:
     thr_ms: float = 0.0
 
 
-@dataclass(frozen=True)
-class DecisionRecord:
+class DecisionRecord(NamedTuple):
     """One scheduling decision with the inputs that produced it."""
 
     index: int
@@ -112,23 +110,27 @@ class DecisionRecord:
         return None
 
 
-def _plain(obj):
-    """Recursive dataclass-to-dict conversion for JSON encoding.
+def _plain(record: DecisionRecord) -> dict:
+    """One record as the dict its JSONL line encodes.
 
-    Produces the same JSON as :func:`dataclasses.asdict` but without
-    its per-leaf deepcopy — decision records hold only immutable
-    scalars, tuples and nested records, so copying buys nothing.
+    Nested records become dicts keyed by field name; plain tuples
+    (``riders``) stay tuples, which JSON encodes as arrays.  A record
+    is itself a tuple, so a nested record left unconverted would
+    export as an array.
     """
-    if hasattr(obj, "__dataclass_fields__"):
-        return {
-            name: _plain(getattr(obj, name))
-            for name in obj.__dataclass_fields__
-        }
-    if isinstance(obj, (list, tuple)):
-        return [_plain(item) for item in obj]
-    if isinstance(obj, dict):
-        return {key: _plain(value) for key, value in obj.items()}
-    return obj
+    payload = record._asdict()
+    payload["candidates"] = [
+        candidate._asdict() for candidate in record.candidates
+    ]
+    reservation = record.reservation
+    if reservation is not None:
+        reservation_dict = reservation._asdict()
+        reservation_dict["entries"] = [
+            entry._asdict() for entry in reservation.entries
+        ]
+        payload["reservation"] = reservation_dict
+    payload["final_kind"] = record.final_kind or record.kind
+    return payload
 
 
 def decision_log_jsonl(decisions: Iterable[DecisionRecord]) -> str:
@@ -138,13 +140,8 @@ def decision_log_jsonl(decisions: Iterable[DecisionRecord]) -> str:
     produce the same bytes — the property the serial-vs-parallel
     determinism gate checks.
     """
-    lines = []
-    for record in decisions:
-        payload = _plain(record)
-        payload["final_kind"] = record.final_kind or record.kind
-        lines.append(
-            json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        )
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    lines = [encode(_plain(record)) for record in decisions]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

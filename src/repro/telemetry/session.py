@@ -10,7 +10,6 @@ everything in it is plain picklable data.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -45,17 +44,16 @@ class RunTelemetry:
     # -- recording (called by policy/server) ----------------------------------
 
     def record_decision(self, record: DecisionRecord) -> None:
+        """Append one record.  Policies append to ``decisions`` directly,
+        on the per-decision path, with each record's index its position."""
         self.decisions.append(record)
-
-    def next_decision_index(self) -> int:
-        return len(self.decisions)
 
     def note_admission_override(self, outcome: str) -> None:
         """Mark the latest decision as overridden by admission control."""
         if not self.decisions:
             return
-        self.decisions[-1] = dataclasses.replace(
-            self.decisions[-1], admission=outcome, final_kind="lc",
+        self.decisions[-1] = self.decisions[-1]._replace(
+            admission=outcome, final_kind="lc",
         )
 
     def note_first_launch(self, qid: int, now_ms: float) -> None:

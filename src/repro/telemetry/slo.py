@@ -262,8 +262,7 @@ class FlightRecorder:
     """
 
     CHANNELS = (
-        "outcomes", "queries", "guard", "admission", "faults",
-        "epochs", "decisions",
+        "outcomes", "queries", "guard", "admission", "faults", "epochs",
     )
 
     def __init__(self, capacity: int = 64):
@@ -533,10 +532,6 @@ class SLOMonitor:
         entry = {"at_ms": now_ms, "channel": channel}
         entry.update(detail)
         self.recorder.record("faults", entry)
-
-    def note_decision(self, entry: dict) -> None:
-        """One (condensed) scheduling decision for the flight recorder."""
-        self.recorder.record("decisions", entry)
 
     def note_epoch(self, entry: dict) -> None:
         """One autoscale-epoch observation (fleet-level runs).
