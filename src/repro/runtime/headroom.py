@@ -82,11 +82,3 @@ class HeadroomTracker:
     def headroom_ms(self, now_ms: float, active: Sequence[Query]) -> float:
         """BE headroom given the FIFO set of active queries (Eq. 9)."""
         return self.reservation(now_ms, active)[0]
-
-    def headroom_detail(
-        self, now_ms: float, active: Sequence[Query]
-    ) -> tuple[float, float, tuple]:
-        """:meth:`reservation` plus its per-query entries (telemetry)."""
-        entries: list = []
-        headroom, reserved = self.reservation(now_ms, active, entries)
-        return headroom, reserved, tuple(entries)

@@ -1,26 +1,24 @@
 """Scheduling policies: a plugin framework with a competitor zoo.
 
-The package splits the old ``runtime/policies.py`` module into:
-
 * :mod:`~repro.runtime.policies.base` — the slim
   :class:`SchedulerPolicy` protocol (``decide`` / ``note_outcome`` /
-  ``note_query_done`` / ``current_thr_ms`` / ``policy_name``) plus the
-  shared machinery (actions, guard rails, headroom/telemetry glue);
+  ``note_query_done`` / ``current_thr_ms`` / ``policy_name``), the one
+  decision every built-in policy runs, and the shared machinery
+  (actions, guard rails, headroom);
 * :mod:`~repro.runtime.policies.registry` — the string-keyed registry
   every construction site resolves policy names through;
-* one module per policy: the paper's
+* one module per policy, each overriding only the decision's
+  co-location step or fallback: the paper's
   :class:`~repro.runtime.policies.tacker.TackerPolicy` and the
-  :class:`~repro.runtime.policies.baymax.BaymaxPolicy` baseline
-  (moved unchanged — bit-identical fig10/fig11), and the zoo —
-  :class:`~repro.runtime.policies.hfuse.HFusePolicy`,
+  :class:`~repro.runtime.policies.baymax.BaymaxPolicy` baseline, and
+  the zoo — :class:`~repro.runtime.policies.hfuse.HFusePolicy`,
   :class:`~repro.runtime.policies.spatial.SpatialPolicy`,
   :class:`~repro.runtime.policies.gpuos.GPUOSPolicy`,
   :class:`~repro.runtime.policies.multifuse.MultiFusePolicy`.
 
 Importing this package registers every builtin policy; third-party
 policies join by calling :func:`register_policy` before naming the
-policy anywhere (entry-point style).  ``from repro.runtime.policies
-import TackerPolicy`` keeps working.
+policy anywhere (entry-point style).
 """
 
 from __future__ import annotations

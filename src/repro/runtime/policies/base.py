@@ -1,4 +1,4 @@
-"""The slim :class:`SchedulerPolicy` protocol and shared machinery.
+"""The slim :class:`SchedulerPolicy` protocol and its one decision.
 
 A scheduler policy is a plugin.  The protocol is
 :meth:`SchedulerPolicy.decide`, :meth:`SchedulerPolicy.note_outcome`,
@@ -11,11 +11,18 @@ admission control), ``policy.predict_lc_ms`` (to price the LC launch
 that replaces a refused BE launch) and ``policy.models.observe_fused``
 (online fused-model maintenance), and sets ``policy.telemetry`` to the
 run's session and ``policy.models.perturb`` for a faulted run.
-Everything else here (the reorder/pure-BE helpers, the
-decision recorder) is shared machinery subclasses may reuse but the
-server never touches.  Concrete policies register themselves with
+Concrete policies register themselves with
 :mod:`repro.runtime.policies.registry` and are built through
 :func:`~repro.runtime.policies.registry.policy_from_name`.
+
+:meth:`SchedulerPolicy.decide` is the decision every built-in policy
+runs at an LC kernel boundary (Section VII-B): the Eq. 9 threshold
+``Thr``, the policy's co-location step (:meth:`SchedulerPolicy._colocate`:
+an Eq. 8 fusion, an HFuse pair, an SM partition), otherwise its
+fallback (:meth:`SchedulerPolicy._fallback`: Baymax's reorder, else
+the LC kernel alone).  It is also the one place that reads the
+telemetry session and writes the decision record.  The reorder and
+pure-BE helpers are shared machinery the hooks reuse.
 
 :meth:`SchedulerPolicy.predict_ms` is memoized per (kernel name, grid)
 and model version: a decision prices the same few kernels over and over,
@@ -34,7 +41,6 @@ reads it after ``decide`` returns, so a policy must not change an
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -42,11 +48,7 @@ from ...config import GPUConfig
 from ...errors import ConfigError
 from ...fusion.fuser import FusedKernel
 from ...predictor.online import OnlineModelManager, PredictionErrorTracker
-from ...telemetry.decisions import (
-    DecisionRecord,
-    FusionCandidate,
-    ReservationRecord,
-)
+from ...telemetry.decisions import DecisionRecord, ReservationRecord
 from ..headroom import HeadroomTracker
 from ..query import BEApplication, KernelInstance, Query
 
@@ -237,8 +239,10 @@ class MispredictGuard:
 QOS_GUARD = 0.9
 
 
-class SchedulerPolicy(ABC):
-    """Base: owns the duration models and the headroom tracker."""
+class SchedulerPolicy:
+    """Base: owns the duration models and the headroom tracker, and
+    makes the decision (:meth:`decide`) whose co-location step and
+    fallback a policy overrides."""
 
     #: name stamped on telemetry decision records
     policy_name = "policy"
@@ -248,7 +252,6 @@ class SchedulerPolicy(ABC):
         gpu: GPUConfig,
         models: OnlineModelManager,
         qos_ms: float,
-        qos_guard: float = QOS_GUARD,
         guard: Optional[MispredictGuard] = None,
     ):
         self.gpu = gpu
@@ -257,7 +260,7 @@ class SchedulerPolicy(ABC):
         #: optional mispredict guard; None reproduces the paper exactly
         self.guard = guard
         self.headroom = HeadroomTracker(
-            qos_ms * qos_guard, self.predict_ms,
+            qos_ms * QOS_GUARD, self.predict_ms,
             version=lambda: models.version,
         )
         self._rr = 0  # round-robin cursor over BE apps
@@ -393,45 +396,70 @@ class SchedulerPolicy(ABC):
             return headroom
         return headroom - self.guard.margin_ms(reserved)
 
-    # -- telemetry --------------------------------------------------------------
+    # -- decisions --------------------------------------------------------------
 
-    def _thr_with_reservation(
-        self, now_ms: float, active: Sequence[Query]
-    ) -> tuple[float, ReservationRecord]:
-        """``Thr`` plus the Eq. 9 record backing it (telemetry path).
-
-        Computes the same value as :meth:`current_thr_ms` — the per-query
-        reservation entries reuse the identical predicted-remaining sums
-        — but keeps the math, so the decision log can show *why* the
-        threshold was what it was.
-        """
-        headroom, reserved, entries = self.headroom.headroom_detail(
-            now_ms, active
-        )
-        margin = 0.0
-        if self.guard is not None:
-            margin = self.guard.margin_ms(reserved)
-        thr = headroom - margin
-        return thr, ReservationRecord(
-            self.headroom.qos_ms, entries, headroom, margin, thr
-        )
-
-    def _record_decision(
+    def decide(
         self,
         now_ms: float,
-        action: Action,
-        *,
-        query: Optional[Query] = None,
-        thr_ms: Optional[float] = None,
-        reserve_ms: Optional[float] = None,
-        candidates: Sequence[FusionCandidate] = (),
-        reservation: Optional[ReservationRecord] = None,
-        gain_ms: Optional[float] = None,
-        guard_mode: Optional[str] = None,
-    ) -> Action:
-        """Append one decision record to the attached session; its
-        index is its position in the log."""
-        decisions = self.telemetry.decisions
+        active: Sequence[Query],
+        be_apps: Sequence[BEApplication],
+    ) -> Optional[Action]:
+        """Choose what to run next; None means nothing is runnable.
+
+        With no LC query active, :meth:`_pure_be`.  Otherwise the guard
+        counts the decision and, in its ``exclusive`` mode, the LC
+        kernel runs alone.  Else one Eq. 9 pass gives ``Thr`` (the
+        headroom less the guard's margin, the value
+        :meth:`current_thr_ms` computes); in ``fuse`` mode (always,
+        unguarded) the policy's :meth:`_colocate` may pick a
+        co-location, and when it picks none :meth:`_fallback` decides.
+        With a telemetry session attached, the decision is appended to
+        its log, with the Eq. 9 record, the evaluated candidates, the
+        reserve and the gain; the record's index is its position in
+        the log.
+        """
+        self.decisions += 1
+        session = self.telemetry
+        guard = self.guard
+        query = guard_mode = thr = reserve = gain = reservation = log = None
+        if not active:
+            action = self._pure_be(be_apps)
+            if action is None:
+                return None
+        else:
+            query = active[0]
+            if guard is not None:
+                guard.note_decision()
+                guard_mode = guard.mode
+            if guard_mode == "exclusive":
+                action = Action(
+                    kind="lc", query=query,
+                    predicted_lc_ms=self.predict_lc_ms(query),
+                )
+            else:
+                entries = None if session is None else []
+                headroom, reserved = self.headroom.reservation(
+                    now_ms, active, entries
+                )
+                margin = 0.0 if guard is None else guard.margin_ms(reserved)
+                thr = headroom - margin
+                if session is not None:
+                    log = []
+                    reservation = ReservationRecord(
+                        self.headroom.qos_ms, tuple(entries), headroom,
+                        margin, thr,
+                    )
+                chosen = None
+                if guard_mode != "reorder":
+                    chosen = self._colocate(query, be_apps, thr, log)
+                if chosen is None:
+                    action, reserve = self._fallback(query, be_apps, thr)
+                else:
+                    self.fusions += 1
+                    action, gain = chosen
+        if session is None:
+            return action
+        decisions = session.decisions
         if query is None:
             lc_service = lc_arrival_ms = lc_kernel = None
         else:
@@ -446,23 +474,41 @@ class SchedulerPolicy(ABC):
             be_app2.name if be_app2 is not None else None,
             tuple([rider.name for rider in action.riders]),
             fused.name if fused is not None else None,
-            guard_mode, thr_ms, reserve_ms,
+            guard_mode, thr, reserve,
             action.predicted_lc_ms, action.predicted_be_ms,
-            action.predicted_fused_ms, gain_ms, tuple(candidates),
+            action.predicted_fused_ms, gain, tuple(log) if log else (),
             reservation,
         ))
         return action
 
-    # -- decisions --------------------------------------------------------------
-
-    @abstractmethod
-    def decide(
+    def _colocate(
         self,
-        now_ms: float,
-        active: Sequence[Query],
+        query: Query,
         be_apps: Sequence[BEApplication],
-    ) -> Optional[Action]:
-        """Choose what to run next; None means nothing is runnable."""
+        thr_ms: float,
+        log: Optional[list],
+    ) -> Optional[tuple[Action, float]]:
+        """The co-location step: a launch sharing the GPU with the LC
+        kernel, or BE work packed into one launch, within ``thr_ms``.
+
+        Returns the action and its throughput gain ``Tgain`` (counted
+        in :attr:`fusions`), or None to fall back.  ``log`` is None
+        unless a telemetry session is attached; it then collects each
+        evaluated :class:`~repro.telemetry.FusionCandidate`.  The
+        reorder-only base co-locates nothing.
+        """
+        return None
+
+    def _fallback(
+        self,
+        query: Query,
+        be_apps: Sequence[BEApplication],
+        thr_ms: float,
+    ) -> tuple[Action, Optional[float]]:
+        """The decision when nothing co-locates, with the headroom it
+        reserved for later co-locations (None when it reserves none):
+        Baymax's reorder, else the LC kernel."""
+        return self._reorder_or_lc(query, be_apps, thr_ms), None
 
     def _be_rotation(
         self, be_apps: Sequence[BEApplication]

@@ -27,7 +27,7 @@ from ...config import GPUConfig
 from ...errors import TackerError
 from ...predictor.online import OnlineModelManager
 from ..query import KernelInstance
-from .base import QOS_GUARD, Action, MispredictGuard, SchedulerPolicy
+from .base import Action, MispredictGuard, SchedulerPolicy
 from .registry import register_policy
 
 #: a pair must beat the serial sum by this factor to count as fused
@@ -47,14 +47,12 @@ class HFusePolicy(SchedulerPolicy):
         qos_ms: float,
         oracle,
         ptb,
-        qos_guard: float = QOS_GUARD,
         guard: Optional[MispredictGuard] = None,
     ):
         """``ptb`` maps a kernel name to its cached PTB transform (the
         bound :meth:`TackerSystem.ptb`); a pair whose kernel the
         transform rejects is remembered in the pair table."""
-        super().__init__(gpu, models, qos_ms, qos_guard=qos_guard,
-                         guard=guard)
+        super().__init__(gpu, models, qos_ms, guard=guard)
         self.oracle = oracle
         self._ptb = ptb
         #: (kernel a, grid a, kernel b, grid b) -> (PTB launch a, PTB
@@ -94,10 +92,7 @@ class HFusePolicy(SchedulerPolicy):
         return entry
 
     def _hfused_action(self, be_apps, thr_ms):
-        """The first rotation pair that genuinely co-resides and fits.
-
-        ``thr_ms=None`` lifts the headroom constraint (no LC active).
-        """
+        """The first rotation pair that genuinely co-resides and fits."""
         apps = self._be_rotation(be_apps)
         for i in range(len(apps)):
             head_a = apps[i].head
@@ -106,7 +101,7 @@ class HFusePolicy(SchedulerPolicy):
                 if pair is None:
                     continue
                 launch_a, launch_b, total_ms, solo_sum_ms = pair
-                if thr_ms is not None and total_ms >= thr_ms:
+                if total_ms >= thr_ms:
                     continue
                 self._rr += 1
                 return Action(
@@ -119,57 +114,20 @@ class HFusePolicy(SchedulerPolicy):
                 )
         return None
 
-    def decide(self, now_ms, active, be_apps):
-        self.decisions += 1
-        session = self.telemetry
-        if not active:
-            action = self._hfused_action(be_apps, None)
-            if action is not None:
-                self.fusions += 1
-            else:
-                action = self._pure_be(be_apps)
-            if session is not None and action is not None:
-                self._record_decision(now_ms, action)
-            return action
-        query = active[0]
-        mode = "fuse"
-        guard_mode = None
-        if self.guard is not None:
-            self.guard.note_decision()
-            mode = guard_mode = self.guard.mode
-            if mode == "exclusive":
-                action = Action(
-                    kind="lc", query=query,
-                    predicted_lc_ms=self.predict_lc_ms(query),
-                )
-                if session is not None:
-                    self._record_decision(
-                        now_ms, action, query=query, guard_mode=guard_mode,
-                    )
-                return action
-        reservation = None
-        if session is not None:
-            thr, reservation = self._thr_with_reservation(now_ms, active)
-        else:
-            thr = self.current_thr_ms(now_ms, active)
-        if mode == "fuse":
-            action = self._hfused_action(be_apps, thr)
-            if action is not None:
-                self.fusions += 1
-                if session is not None:
-                    self._record_decision(
-                        now_ms, action, query=query, thr_ms=thr,
-                        reservation=reservation, guard_mode=guard_mode,
-                        gain_ms=action.predicted_be_ms
-                        - action.predicted_fused_ms,
-                    )
-                return action
-        action = self._reorder_or_lc(query, be_apps, thr)
-        if session is not None:
-            self._record_decision(
-                now_ms, action, query=query, thr_ms=thr,
-                reservation=reservation, guard_mode=guard_mode,
-            )
+    def _colocate(self, query, be_apps, thr_ms, log):
+        """A BE pair under one reservation; Tgain is the time it saves
+        over launching the two heads back to back."""
+        action = self._hfused_action(be_apps, thr_ms)
+        if action is None:
+            return None
+        return action, action.predicted_be_ms - action.predicted_fused_ms
+
+    def _pure_be(self, be_apps):
+        # No LC query active: a pair launches unconstrained, else one head.
+        action = self._hfused_action(be_apps, float("inf"))
+        if action is None:
+            return super()._pure_be(be_apps)
+        self.fusions += 1
         return action
 
 

@@ -26,7 +26,7 @@ from typing import Optional
 
 from ...config import GPUConfig
 from ...predictor.online import OnlineModelManager
-from .base import QOS_GUARD, Action, MispredictGuard, SchedulerPolicy
+from .base import Action, MispredictGuard, SchedulerPolicy
 from .registry import register_policy
 
 
@@ -47,11 +47,9 @@ class SpatialPolicy(SchedulerPolicy):
         models: OnlineModelManager,
         qos_ms: float,
         oracle,
-        qos_guard: float = QOS_GUARD,
         guard: Optional[MispredictGuard] = None,
     ):
-        super().__init__(gpu, models, qos_ms, qos_guard=qos_guard,
-                         guard=guard)
+        super().__init__(gpu, models, qos_ms, guard=guard)
         self.oracle = oracle
 
     def _profile(self, launch_a, launch_b, fraction: float):
@@ -60,7 +58,7 @@ class SpatialPolicy(SchedulerPolicy):
             "spatial", launch_a, launch_b, fraction_a=fraction
         )
 
-    def _spatial_action(self, query, be_apps, thr_ms):
+    def _colocate(self, query, be_apps, thr_ms, log):
         """Best (BE head, split fraction) whose partition fits Eq. 9."""
         lc_instance = query.current
         launch_a = lc_instance.kernel.launch(lc_instance.grid)
@@ -89,59 +87,10 @@ class SpatialPolicy(SchedulerPolicy):
                     predicted_be_ms=be_solo_ms,
                     predicted_fused_ms=total_ms,
                 )
-        if best is not None:
-            self._rr += 1
-        return best
-
-    def decide(self, now_ms, active, be_apps):
-        self.decisions += 1
-        session = self.telemetry
-        if not active:
-            action = self._pure_be(be_apps)
-            if session is not None and action is not None:
-                self._record_decision(now_ms, action)
-            return action
-        query = active[0]
-        mode = "fuse"
-        guard_mode = None
-        if self.guard is not None:
-            self.guard.note_decision()
-            mode = guard_mode = self.guard.mode
-            if mode == "exclusive":
-                action = Action(
-                    kind="lc", query=query,
-                    predicted_lc_ms=self.predict_lc_ms(query),
-                )
-                if session is not None:
-                    self._record_decision(
-                        now_ms, action, query=query, guard_mode=guard_mode,
-                    )
-                return action
-        reservation = None
-        if session is not None:
-            thr, reservation = self._thr_with_reservation(now_ms, active)
-        else:
-            thr = self.current_thr_ms(now_ms, active)
-        if mode == "fuse":
-            action = self._spatial_action(query, be_apps, thr)
-            if action is not None:
-                self.fusions += 1
-                if session is not None:
-                    self._record_decision(
-                        now_ms, action, query=query, thr_ms=thr,
-                        reservation=reservation, guard_mode=guard_mode,
-                        gain_ms=action.predicted_be_ms
-                        - (action.predicted_fused_ms
-                           - action.predicted_lc_ms),
-                    )
-                return action
-        action = self._reorder_or_lc(query, be_apps, thr)
-        if session is not None:
-            self._record_decision(
-                now_ms, action, query=query, thr_ms=thr,
-                reservation=reservation, guard_mode=guard_mode,
-            )
-        return action
+        if best is None:
+            return None
+        self._rr += 1
+        return best, best_gain
 
 
 def _factory(system, guard):

@@ -1,14 +1,17 @@
 """The Tacker kernel manager: fusion + reorder (Section VII-B).
 
-On every scheduling step for an active LC query it
+On every scheduling step for an active LC query the base decision
+(:meth:`SchedulerPolicy.decide`) runs its two hooks, which
 
-1. tries to *fuse* the query's current kernel with a ready BE kernel —
+1. try to *fuse* the query's current kernel with a ready BE kernel —
    admissible when Eq. 8 holds (the fusion beats sequential execution
    and its extra LC time fits the headroom) — picking the BE kernel
-   with the largest throughput gain ``Tgain = Tcd - (Tk_fuse - Ttc)``;
-2. otherwise *reorders*: launches a ready BE kernel whose predicted
-   duration fits the headroom (the Baymax behaviour);
-3. otherwise launches the LC kernel alone.
+   with the largest throughput gain ``Tgain = Tcd - (Tk_fuse - Ttc)``
+   (:meth:`TackerPolicy._colocate`);
+2. otherwise *reorder*: launch a ready BE kernel whose predicted
+   duration fits the headroom beyond the fusion reserve (the Baymax
+   behaviour, :meth:`TackerPolicy._fallback`);
+3. otherwise launch the LC kernel alone.
 
 Fusion works in both directions ("the LC kernels and BE kernels are not
 limited to a specified type"): an LC TC kernel absorbs a BE CD kernel,
@@ -262,80 +265,35 @@ class TackerPolicy(SchedulerPolicy):
             (self, self._be_names(be_apps)), self._tables_version, cost
         )[query.cursor]
 
-    def decide(self, now_ms, active, be_apps):
-        self.decisions += 1
-        session = self.telemetry
-        if not active:
-            action = self._pure_be(be_apps)
-            if session is not None and action is not None:
-                self._record_decision(now_ms, action)
-            return action
-        query = active[0]
-        mode = "fuse"
-        guard_mode = None
-        if self.guard is not None:
-            self.guard.note_decision()
-            mode = guard_mode = self.guard.mode
-            if mode == "exclusive":
-                action = Action(
-                    kind="lc", query=query,
-                    predicted_lc_ms=self.predict_lc_ms(query),
-                )
-                if session is not None:
-                    self._record_decision(
-                        now_ms, action, query=query, guard_mode=guard_mode,
-                    )
-                return action
-        reservation = None
-        if session is not None:
-            thr, reservation = self._thr_with_reservation(now_ms, active)
-        else:
-            thr = self.current_thr_ms(now_ms, active)
+    def _colocate(self, query, be_apps, thr_ms, log):
+        """Eq. 8: fuse the LC kernel with the BE head of largest Tgain
+        (the first admissible one under ``pair_selection="fifo"``)."""
         lc_instance = query.current
-        candidates: Optional[list] = [] if session is not None else None
-        if mode == "fuse" and (lc_instance.fusable or lc_instance.kind == "cd"):
-            best: Optional[tuple[Quote, BEApplication]] = None
-            for app in be_apps:
-                quote = self._fusion_for(lc_instance, app, thr, candidates)
-                if quote is None or quote.gain_ms <= 0:
-                    continue
-                if best is None or quote.gain_ms > best[0].gain_ms:
-                    best = (quote, app)
-                if self.pair_selection == "fifo":
-                    break
-            if best is not None:
-                self.fusions += 1
-                action, gain = self._fused_action(
-                    query, best[0], best[1], thr, be_apps
-                )
-                if session is not None:
-                    self._record_decision(
-                        now_ms, action, query=query, thr_ms=thr,
-                        candidates=candidates, reservation=reservation,
-                        gain_ms=gain, guard_mode=guard_mode,
-                    )
-                return action
+        if not (lc_instance.fusable or lc_instance.kind == "cd"):
+            return None
+        best: Optional[tuple[Quote, BEApplication]] = None
+        for app in be_apps:
+            quote = self._fusion_for(lc_instance, app, thr_ms, log)
+            if quote is None or quote.gain_ms <= 0:
+                continue
+            if best is None or quote.gain_ms > best[0].gain_ms:
+                best = (quote, app)
+            if self.pair_selection == "fifo":
+                break
+        if best is None:
+            return None
+        return self._fused_action(query, best[0], best[1], thr_ms, be_apps)
+
+    def _fallback(self, query, be_apps, thr_ms):
+        """Reorder with only the headroom beyond the fusion reserve, or,
+        with reordering ablated, the LC kernel alone."""
         if not self.enable_reorder:
-            action = Action(
+            return Action(
                 kind="lc", query=query,
                 predicted_lc_ms=self.predict_lc_ms(query),
-            )
-            if session is not None:
-                self._record_decision(
-                    now_ms, action, query=query, thr_ms=thr,
-                    candidates=candidates or (), reservation=reservation,
-                    guard_mode=guard_mode,
-                )
-            return action
+            ), None
         reserve = self._fusion_reserve_ms(query, be_apps)
-        action = self._reorder_or_lc(query, be_apps, thr - reserve)
-        if session is not None:
-            self._record_decision(
-                now_ms, action, query=query, thr_ms=thr, reserve_ms=reserve,
-                candidates=candidates or (), reservation=reservation,
-                guard_mode=guard_mode,
-            )
-        return action
+        return self._reorder_or_lc(query, be_apps, thr_ms - reserve), reserve
 
 
 def _factory(system, guard):

@@ -28,6 +28,7 @@ from repro.runtime.runconfig import RunConfig
 from repro.runtime.server import ColocationServer
 from repro.runtime.system import TackerSystem
 from repro.runtime.workload import PoissonArrivals, query_instances
+from repro.telemetry import RunTelemetry
 
 
 @pytest.fixture(scope="module")
@@ -256,4 +257,9 @@ class TestGuardedThreshold:
         assert thr == policy._guarded_thr(
             policy.headroom.headroom_ms(now, active), active
         )
-        assert policy._thr_with_reservation(now, active)[0] == thr
+        # The decision takes Thr and its Eq. 9 record from one pass.
+        policy.telemetry = RunTelemetry(policy=policy.policy_name)
+        policy.decide(now, active, [])
+        (record,) = policy.telemetry.decisions
+        assert record.thr_ms == thr
+        assert record.reservation.thr_ms == thr
