@@ -23,11 +23,16 @@ phase boundaries
 replicating the event engine's arithmetic operation-for-operation, so
 durations agree with :class:`~repro.gpusim.sm.SMSimulation` to within
 floating-point noise (the equivalence suite asserts < 1e-9 relative
-error across the kernel corpus, barriered and fused shapes included).
-Wide active sets — many fragments in flight at once — are advanced with
-vectorized numpy min/where sweeps over parallel (phase end, sequence,
-remaining bytes) arrays; narrow sets use scalar loops performing the
-identical IEEE-754 arithmetic, so the switch never changes a result.
+error across the kernel corpus, barriered and fused shapes included,
+and pins the fast path's own output bit for bit).
+
+The loop is kept lean because every cold oracle lookup runs it: events
+whose time is fixed when they are scheduled — pipe completions,
+latency-stage arrivals, barrier releases — share one heap, the memory
+system's moving completion sits beside it, fragments step through
+compiled int opcodes, and the memory mirror holds plain lists (the
+widest active set over the gpusim, fusion and predictor tests is 16
+fragments, too few for vectorized sweeps to pay).
 
 The dispatcher in :mod:`repro.gpusim.gpu` routes any block-set shape
 outside :data:`SUPPORTED_SHAPES` to the event engine and records the
@@ -46,8 +51,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from dataclasses import dataclass, field
-
-import numpy as np
+from heapq import heappop, heappush
 
 from ..config import SMConfig
 from ..errors import SimulationError
@@ -77,12 +81,6 @@ SUPPORTED_SHAPES = frozenset(SHAPES)
 
 #: Reject reason recorded when REPRO_FASTPATH=0 forces the engine.
 REASON_DISABLED = "disabled"
-
-#: Parallel-array population at which the advancement sweeps switch from
-#: scalar loops to vectorized numpy min/where.  Both sides perform the
-#: identical IEEE-754 double arithmetic, so the threshold affects wall
-#: clock only, never a simulated duration.
-VECTOR_THRESHOLD = 24
 
 
 @dataclass
@@ -160,6 +158,11 @@ _OP_COMPUTE = 0
 _OP_MEMORY = 1
 _OP_SYNC = 2
 
+#: Event kinds of the main loop.
+_EV_PIPE = 0
+_EV_RELEASE = 1
+_EV_LATENCY = 2
+
 
 class _Frag:
     """A cohort of warps marching through the same program in lockstep.
@@ -181,7 +184,8 @@ class _Frag:
         self.ops = ops
         self.iterations = iterations
         self.iteration = 0
-        self.seg_index = 0
+        #: the op in flight; -1 until the kickoff dispatches op 0
+        self.seg_index = -1
         #: (block index, group label) for finish attribution and barriers
         self.key = key
 
@@ -193,177 +197,74 @@ class _Frag:
         self.size -= head_size
         return head
 
-    def step(self) -> bool:
-        """Advance the cursor; returns True while work remains."""
-        self.seg_index += 1
-        if self.seg_index >= len(self.ops):
-            self.seg_index = 0
-            self.iteration += 1
-        return self.iteration < self.iterations
-
 
 class _PipeState:
-    """FIFO pipe mirror over parallel (end time, sequence) arrays.
+    """FIFO pipe mirror: busy slots, and cohorts waiting for one in the
+    order the engine's per-warp deque would hold them."""
 
-    ``frags[i]`` is in service until ``end[i]``; removal swaps the last
-    entry in (selection is by value, so array order is free).  Waiting
-    cohorts queue in FIFO order exactly like the engine's per-warp
-    deque.
-    """
-
-    __slots__ = ("width", "busy", "waiting", "frags", "end", "seq", "n",
-                 "timeline", "slot_cycles", "best_dirty", "best_cache")
+    __slots__ = ("width", "busy", "waiting", "timeline", "slot_cycles")
 
     def __init__(self, width: int):
         self.width = width
         self.busy = 0
         self.waiting: deque[_Frag] = deque()
-        self.frags: list[_Frag] = []
-        self.end = np.empty(16, dtype=np.float64)
-        self.seq = np.empty(16, dtype=np.int64)
-        self.n = 0
         self.timeline = Timeline()
         self.slot_cycles = 0.0
-        #: ``best()`` memo — most loop steps touch one pipe, so the
-        #: other pipes' minima are unchanged between steps
-        self.best_dirty = True
-        self.best_cache = None
-
-    def append(self, end: float, seq: int, frag: _Frag) -> None:
-        if self.n == len(self.end):
-            self.end = np.resize(self.end, 2 * self.n)
-            self.seq = np.resize(self.seq, 2 * self.n)
-        self.end[self.n] = end
-        self.seq[self.n] = seq
-        self.frags.append(frag)
-        self.n += 1
-        self.best_dirty = True
-
-    def pop(self, index: int) -> _Frag:
-        frag = self.frags[index]
-        last = self.n - 1
-        if index != last:
-            self.end[index] = self.end[last]
-            self.seq[index] = self.seq[last]
-            self.frags[index] = self.frags[last]
-        self.frags.pop()
-        self.n = last
-        self.best_dirty = True
-        return frag
-
-    def best(self):
-        """(end, seq, index) of the next service completion, or None."""
-        if not self.best_dirty:
-            return self.best_cache
-        self.best_cache = entry = self._scan_best()
-        self.best_dirty = False
-        return entry
-
-    def _scan_best(self):
-        n = self.n
-        if n == 0:
-            return None
-        if n >= VECTOR_THRESHOLD:
-            end = self.end[:n]
-            lowest = end.min()
-            candidates = np.flatnonzero(end == lowest)
-            index = int(candidates[self.seq[candidates].argmin()])
-            return (float(lowest), int(self.seq[index]), index)
-        end = self.end
-        seq = self.seq
-        best_index = 0
-        best_end = end[0]
-        best_seq = seq[0]
-        for i in range(1, n):
-            if end[i] < best_end or (end[i] == best_end and seq[i] < best_seq):
-                best_index = i
-                best_end = end[i]
-                best_seq = seq[i]
-        return (float(best_end), int(best_seq), best_index)
 
 
 class _MemMirror:
-    """Processor-sharing drain over a parallel remaining-bytes array.
+    """Processor-sharing drain over a parallel remaining-bytes list.
 
     Mirrors :class:`~repro.gpusim.memory.MemorySystem` at cohort
     granularity: ``rem[i]`` is the per-member remaining byte count of
     fragment ``frags[i]``; all members share the bandwidth equally, so
-    one subtraction sweep advances every transfer.
+    one subtraction sweep advances every transfer.  ``next_time`` is the
+    pending completion (with ``seq``, the engine's completion-event
+    handle, reallocated on every active-set change so tie-breaks match);
+    it is recomputed whenever the active set changes.
     """
 
-    __slots__ = ("bandwidth", "frags", "rem", "n", "members",
-                 "last_update", "seq", "bytes_served", "key_dirty",
-                 "key_cache")
+    __slots__ = ("bandwidth", "frags", "rem", "members", "last_update",
+                 "seq", "next_time", "bytes_served")
 
     def __init__(self, bandwidth: float):
         self.bandwidth = bandwidth
         self.frags: list[_Frag] = []
-        self.rem = np.empty(16, dtype=np.float64)
-        self.n = 0
+        self.rem: list[float] = []
         #: total member transfers sharing the bandwidth
         self.members = 0
         self.last_update = 0.0
-        #: mirrors the engine's completion-event handle (reallocated on
-        #: every active-set change, so tie-breaks match)
         self.seq = 0
+        self.next_time = 0.0
         self.bytes_served = 0.0
-        #: ``next_key()`` memo — the active set only changes through
-        #: ``advance``/``join``/``complete``, each of which (including
-        #: every external ``seq`` reassignment, which always follows
-        #: one of them) marks it dirty
-        self.key_dirty = True
-        self.key_cache = None
 
-    def advance(self, now: float) -> None:
-        self.key_dirty = True
+    def _advance(self, now: float) -> None:
         elapsed = now - self.last_update
-        if elapsed > 0 and self.n:
+        if elapsed > 0 and self.rem:
             rate = self.bandwidth / self.members
             drained = rate * elapsed
-            if self.n >= VECTOR_THRESHOLD:
-                self.rem[:self.n] -= drained
-            else:
-                rem = self.rem
-                for i in range(self.n):
-                    rem[i] -= drained
+            self.rem = [r - drained for r in self.rem]
             self.bytes_served += drained * self.members
         self.last_update = now
 
-    def join(self, frag: _Frag, nbytes: float) -> None:
-        self.key_dirty = True
-        if self.n == len(self.rem):
-            self.rem = np.resize(self.rem, 2 * self.n)
-        self.rem[self.n] = nbytes
-        self.frags.append(frag)
-        self.n += 1
-        self.members += frag.size
-
-    def next_key(self):
-        """(time, seq) of the pending PS completion, or None."""
-        if not self.key_dirty:
-            return self.key_cache
-        n = self.n
-        if n == 0:
-            key = None
-        else:
-            if n >= VECTOR_THRESHOLD:
-                shortest = float(self.rem[:n].min())
-            else:
-                rem = self.rem
-                shortest = rem[0]
-                for i in range(1, n):
-                    if rem[i] < shortest:
-                        shortest = rem[i]
-            shortest = float(shortest)
+    def _rekey(self, seq: int) -> None:
+        self.seq = seq
+        if self.rem:
+            shortest = min(self.rem)
             if shortest < 0.0:
                 shortest = 0.0
             rate = self.bandwidth / self.members
-            key = (self.last_update + shortest / rate, self.seq)
-        self.key_cache = key
-        self.key_dirty = False
-        return key
+            self.next_time = self.last_update + shortest / rate
 
-    def complete(self, now: float) -> list[_Frag]:
+    def join(self, frag: _Frag, nbytes: float, now: float, seq: int) -> None:
+        """Advance to ``now`` and add a transfer of ``nbytes`` per member."""
+        self._advance(now)
+        self.rem.append(nbytes)
+        self.frags.append(frag)
+        self.members += frag.size
+        self._rekey(seq)
+
+    def complete(self, now: float, seq: int) -> list[_Frag]:
         """Advance to ``now`` and detach the completed fragments, in order.
 
         When rounding leaves no transfer at zero, one member of the
@@ -371,53 +272,35 @@ class _MemMirror:
         engine does (its nudge is per-transfer, so a multi-warp fragment
         sheds a single member).
         """
-        self.advance(now)
-        n = self.n
+        self._advance(now)
         rem = self.rem
         frags = self.frags
-        if n >= VECTOR_THRESHOLD:
-            has_done = bool(np.any(rem[:n] <= _EPS))
-        else:
-            has_done = False
-            for i in range(n):
-                if rem[i] <= _EPS:
-                    has_done = True
-                    break
-        if has_done:
-            # In-place compaction: done fragments detach in array order,
-            # survivors slide left (order preserved on both sides).
+        shortest = min(rem)
+        if shortest <= _EPS:
+            # Done fragments detach in list order, survivors keep theirs.
             done = []
-            write = 0
-            for i in range(n):
-                if rem[i] <= _EPS:
-                    done.append(frags[i])
+            index = 0
+            while index < len(rem):
+                if rem[index] <= _EPS:
+                    del rem[index]
+                    frag = frags.pop(index)
+                    self.members -= frag.size
+                    done.append(frag)
                 else:
-                    if write != i:
-                        rem[write] = rem[i]
-                        frags[write] = frags[i]
-                    write += 1
-            del frags[write:]
-            self.n = write
-            self.members -= sum(f.size for f in done)
-            return done
-        # Numerical shortfall: nudge the first nearest transfer.
-        if n >= VECTOR_THRESHOLD:
-            nearest = int(rem[:n].argmin())
+                    index += 1
         else:
-            nearest = 0
-            for i in range(1, n):
-                if rem[i] < rem[nearest]:
-                    nearest = i
-        frag = frags[nearest]
-        self.members -= 1
-        if frag.size > 1:
-            head = frag.split(1)
-            return [head]
-        self.frags = [frags[i] for i in range(n) if i != nearest]
-        keep = [i for i in range(n) if i != nearest]
-        self.rem[:len(keep)] = rem[list(keep)] if keep else 0.0
-        self.n -= 1
-        return [frag]
+            # Numerical shortfall: nudge the first nearest transfer.
+            nearest = rem.index(shortest)
+            frag = frags[nearest]
+            self.members -= 1
+            if frag.size > 1:
+                done = [frag.split(1)]
+            else:
+                done = [frag]
+                del frags[nearest]
+                del rem[nearest]
+        self._rekey(seq)
+        return done
 
 
 class _BarrierMirror:
@@ -432,20 +315,25 @@ class _BarrierMirror:
 
 
 class _FastSimulation:
-    """Fragment-granular replica of the event engine's dynamics."""
+    """Fragment-granular replica of the event engine's dynamics.
+
+    Pipe completions, latency-stage arrivals and barrier releases are
+    fixed once scheduled, so they share one heap of ``(time, seq, kind,
+    frag, arg)`` entries; only the memory completion moves as transfers
+    join and leave, so it is kept beside the heap.  Sequence numbers are
+    allocated exactly where the engine schedules its events and are
+    unique, so ``(time, seq)`` orders every event totally, as in the
+    engine.
+    """
 
     def __init__(self, sm: SMConfig, bandwidth: float):
-        self._sm = sm
         self._latency = sm.mem_latency_cycles
         self._seq = 0
         self.pipes = {
             "cuda": _PipeState(sm.cuda_pipe_width),
             "tensor": _PipeState(sm.tensor_pipe_width),
         }
-        #: latency-stage entries: (arrival_time, seq, frag, nbytes)
-        self.lat_queue: deque[tuple] = deque()
-        #: barrier-released cohorts pending re-dispatch: (time, seq, frag)
-        self.rel_queue: deque[tuple] = deque()
+        self.events: list[tuple] = []
         self.memory = _MemMirror(bandwidth)
         self.barriers: dict[tuple[int, int], _BarrierMirror] = {}
         self.group_finish: dict[tuple[int, str], float] = {}
@@ -457,8 +345,6 @@ class _FastSimulation:
         self._seq += 1
         return seq
 
-    # -- pipe mirror ---------------------------------------------------------
-
     def _start_service(self, pipe: _PipeState, frag: _Frag,
                        now: float) -> None:
         cycles = frag.ops[frag.seg_index][2]
@@ -466,32 +352,9 @@ class _FastSimulation:
             pipe.timeline.open(now)
         pipe.busy += frag.size
         pipe.slot_cycles += cycles * frag.size
-        pipe.append(now + cycles, self._alloc(), frag)
-
-    def _acquire(self, pipe: _PipeState, frag: _Frag, now: float) -> None:
-        free = pipe.width - pipe.busy
-        if free <= 0:
-            pipe.waiting.append(frag)
-            return
-        if frag.size <= free:
-            self._start_service(pipe, frag, now)
-        else:
-            self._start_service(pipe, frag.split(free), now)
-            pipe.waiting.append(frag)
-
-    def _pop_waiting(self, pipe: _PipeState, slots: int, now: float) -> None:
-        """Admit up to ``slots`` waiting warps (one per freed slot)."""
-        while slots > 0 and pipe.waiting:
-            head = pipe.waiting[0]
-            if head.size <= slots:
-                pipe.waiting.popleft()
-                slots -= head.size
-                self._start_service(pipe, head, now)
-            else:
-                self._start_service(pipe, head.split(slots), now)
-                slots = 0
-
-    # -- barrier mirror ------------------------------------------------------
+        seq = self._seq
+        self._seq = seq + 1
+        heappush(self.events, (now + cycles, seq, _EV_PIPE, frag, pipe))
 
     def _arrive_barrier(self, frag: _Frag, barrier_id: int, count: int,
                         now: float) -> None:
@@ -525,124 +388,112 @@ class _FastSimulation:
             barrier.waiting = []
             barrier.arrived = 0
             for cohort in released:
-                self.rel_queue.append((now, self._alloc(), cohort))
+                heappush(self.events,
+                         (now, self._alloc(), _EV_RELEASE, cohort, None))
             if head is frag:
                 return
 
-    # -- fragment routing ----------------------------------------------------
-
-    def _retire(self, frag: _Frag, now: float) -> None:
-        key = frag.key
-        self.group_pending[key] -= frag.size
-        if now > self.group_finish[key]:
-            self.group_finish[key] = now
-
-    def _route(self, frag: _Frag, now: float) -> None:
-        """Send a fragment to whatever serves its current opcode."""
-        op = frag.ops[frag.seg_index]
+    def _proceed(self, frag: _Frag, now: float) -> None:
+        """Step a fragment's cursor and send it to whatever serves its
+        next op, or retire it when its loop is done."""
+        index = frag.seg_index + 1
+        ops = frag.ops
+        if index == len(ops):
+            frag.iteration += 1
+            if frag.iteration >= frag.iterations:
+                key = frag.key
+                self.group_pending[key] -= frag.size
+                if now > self.group_finish[key]:
+                    self.group_finish[key] = now
+                return
+            index = 0
+        frag.seg_index = index
+        op = ops[index]
         kind = op[0]
         if kind == _OP_COMPUTE:
-            self._acquire(op[1], frag, now)
+            pipe = op[1]
+            free = pipe.width - pipe.busy
+            if free <= 0:
+                pipe.waiting.append(frag)
+            elif frag.size <= free:
+                self._start_service(pipe, frag, now)
+            else:
+                self._start_service(pipe, frag.split(free), now)
+                pipe.waiting.append(frag)
         elif kind == _OP_MEMORY:
-            self.lat_queue.append(
-                (now + self._latency, self._alloc(), frag, op[1])
-            )
+            seq = self._seq
+            self._seq = seq + 1
+            heappush(self.events, (now + self._latency, seq, _EV_LATENCY,
+                                   frag, op[1]))
         else:
             self._arrive_barrier(frag, op[1], op[2], now)
 
-    def _proceed(self, frag: _Frag, now: float) -> None:
-        if frag.step():
-            self._route(frag, now)
-        else:
-            self._retire(frag, now)
-
-    # -- event batches -------------------------------------------------------
-
-    def _fire_pipe(self, pipe: _PipeState, index: int, now: float) -> None:
-        frag = pipe.pop(index)
-        pipe.busy -= frag.size
-        self._pop_waiting(pipe, frag.size, now)
-        if pipe.busy == 0:
-            pipe.timeline.close(now)
-        self._proceed(frag, now)
-
-    def _fire_mem_completion(self, now: float) -> None:
-        done = self.memory.complete(now)
-        self.memory.seq = self._alloc()
-        for frag in done:
-            self._proceed(frag, now)
-
-    def _fire_latency(self, now: float) -> None:
-        _, _, frag, nbytes = self.lat_queue.popleft()
-        if nbytes <= _EPS:
-            # Zero-byte transfers bypass the bandwidth server entirely.
-            self._proceed(frag, now)
-            return
-        self.memory.advance(now)
-        self.memory.join(frag, float(nbytes))
-        self.memory.seq = self._alloc()
-
-    def _fire_release(self, now: float) -> None:
-        _, _, frag = self.rel_queue.popleft()
-        self._proceed(frag, now)
-
-    # -- main loop -----------------------------------------------------------
-
     def run(self, fragments: list[_Frag]) -> None:
+        proceed = self._proceed
         for frag in fragments:
             self._alloc()  # the engine's per-warp kickoff event
-            self._route(frag, 0.0)
+            proceed(frag, 0.0)
         max_steps = 10_000_000
         steps = 0
-        pipes = tuple(self.pipes.values())
-        rel_queue = self.rel_queue
-        lat_queue = self.lat_queue
+        finish = self.finish
+        events = self.events
         memory = self.memory
+        start_service = self._start_service
         while True:
-            best = None
-            best_pipe = None
-            best_index = -1
-            for pipe in pipes:
-                entry = pipe.best()
-                if entry is not None:
-                    key = (entry[0], entry[1])
-                    if best is None or key < best:
-                        best = key
-                        best_pipe = pipe
-                        best_index = entry[2]
-            kind = "pipe"
-            if rel_queue:
-                entry = rel_queue[0]
-                key = (entry[0], entry[1])
-                if best is None or key < best:
-                    best, kind = key, "release"
-            if lat_queue:
-                entry = lat_queue[0]
-                key = (entry[0], entry[1])
-                if best is None or key < best:
-                    best, kind = key, "latency"
-            mem_next = memory.next_key()
-            if mem_next is not None and (best is None or mem_next < best):
-                best, kind = mem_next, "memory"
-            if best is None:
-                break
-            now = float(best[0])
-            if now > self.finish:
-                self.finish = now
-            if kind == "pipe":
-                self._fire_pipe(best_pipe, best_index, now)
-            elif kind == "release":
-                self._fire_release(now)
-            elif kind == "latency":
-                self._fire_latency(now)
+            # the memory completion fires when its (time, seq) is the
+            # smallest, else the heap's head does
+            if memory.rem and (
+                not events
+                or memory.next_time < events[0][0]
+                or memory.next_time == events[0][0]
+                and memory.seq < events[0][1]
+            ):
+                now = memory.next_time
+                seq = self._seq
+                self._seq = seq + 1
+                done = memory.complete(now, seq)
+                if now > finish:
+                    finish = now
+                for frag in done:
+                    proceed(frag, now)
+            elif events:
+                now, _, kind, frag, arg = heappop(events)
+                if now > finish:
+                    finish = now
+                if kind == _EV_PIPE:
+                    arg.busy -= frag.size
+                    # Admit up to one waiting warp per freed slot.
+                    slots = frag.size
+                    waiting = arg.waiting
+                    while slots > 0 and waiting:
+                        head = waiting[0]
+                        if head.size <= slots:
+                            waiting.popleft()
+                            slots -= head.size
+                            start_service(arg, head, now)
+                        else:
+                            start_service(arg, head.split(slots), now)
+                            slots = 0
+                    if arg.busy == 0:
+                        arg.timeline.close(now)
+                    proceed(frag, now)
+                elif kind == _EV_RELEASE or arg <= _EPS:
+                    # a released cohort, or a zero-byte transfer, which
+                    # bypasses the bandwidth server
+                    proceed(frag, now)
+                else:
+                    seq = self._seq
+                    self._seq = seq + 1
+                    memory.join(frag, arg, now, seq)
             else:
-                self._fire_mem_completion(now)
+                break
             steps += 1
             if steps > max_steps:
                 raise SimulationError(
                     f"fast path exceeded {max_steps} steps; "
                     "likely a livelock in the modelled kernel"
                 )
+        self.finish = finish
         stuck = [
             key for key, pending in self.group_pending.items() if pending > 0
         ]
@@ -665,7 +516,7 @@ def _compile(sim: _FastSimulation, segments, cache: dict):
                 (_OP_COMPUTE, sim.pipes[segment.pipe], segment.cycles)
             )
         elif isinstance(segment, MemorySegment):
-            compiled.append((_OP_MEMORY, segment.nbytes))
+            compiled.append((_OP_MEMORY, float(segment.nbytes)))
         elif isinstance(segment, SyncSegment):
             compiled.append((_OP_SYNC, segment.barrier_id, segment.count))
         else:  # pragma: no cover - exhaustive over Segment union

@@ -154,13 +154,15 @@ class CoRunResult:
 def run_blocks(gpu: GPUConfig, blocks: list[BlockSpec]) -> SMResult:
     """Simulate one SM's resident blocks via the cheapest capable engine.
 
-    The vectorized analytic fast path covers every block-set shape —
+    The analytic fast path covers every block-set shape —
     plain, barriered, multi-group and fused alike (it batches whole
     launch waves through closed-form cohort boundaries instead of
     per-warp heap events) — so the event engine only runs when the
     fast path is disabled or a future shape falls outside
     ``fastpath.SUPPORTED_SHAPES``.  Dispatch counts accumulate in
-    ``fastpath.STATS`` by shape class and reject reason.
+    ``fastpath.STATS`` by shape class and reject reason.  This function
+    always simulates; launches reach it through ``_simulate_blocks``,
+    which simulates each distinct capped block set once per process.
 
     Under auditing, sampled fast-path dispatches are re-run on the
     event engine and the two results compared (the differential check
@@ -262,6 +264,42 @@ def _scale_result(result: SMResult, factor: int) -> SMResult:
     )
 
 
+#: In-process SM-result memo.  Different launches often put the same
+#: resident block set on the SM — a grid whose capped loop equals another
+#: grid's, a PTB probe ``probe_<k>_<n>`` and the PTB launch at count n, the
+#: solo baselines inside every co-run policy — and a block set's result
+#: depends on nothing but the SM, its bandwidth slice and the blocks, so
+#: each distinct capped set is simulated once per process.  Keys hold the
+#: block set by value (group labels in order); results are shared and
+#: never mutated.  Bypassed under auditing, so the sampled
+#: fastpath-vs-engine differential always sees live simulations, and with
+#: ``REPRO_FASTPATH=0``, so the kill switch always reaches the engine.
+_SM_MEMO: OrderedDict[tuple, SMResult] = OrderedDict()
+_SM_MEMO_CAP = 4096
+
+
+def clear_result_memo() -> None:
+    """Drop all memoized SM results (for tests and benchmarks)."""
+    _SM_MEMO.clear()
+
+
+def _simulate_blocks(gpu: GPUConfig, blocks: list[BlockSpec]) -> SMResult:
+    """Cap the loops, simulate the capped set once, extrapolate."""
+    blocks, factor = _cap_iterations(blocks)
+    if audit.active() or not fastpath.enabled():
+        return _scale_result(run_blocks(gpu, blocks), factor)
+    key = (gpu.sm, gpu.bytes_per_cycle_per_sm,
+           tuple(tuple(block.warp_groups.items()) for block in blocks))
+    result = _SM_MEMO.get(key)
+    if result is None:
+        result = _SM_MEMO[key] = run_blocks(gpu, blocks)
+        if len(_SM_MEMO) > _SM_MEMO_CAP:
+            _SM_MEMO.popitem(last=False)
+    else:
+        _SM_MEMO.move_to_end(key)
+    return _scale_result(result, factor)
+
+
 def _audit_occupancy(
     launch: KernelLaunch, gpu: GPUConfig, blocks: list[BlockSpec]
 ) -> None:
@@ -272,45 +310,13 @@ def _audit_occupancy(
     )
 
 
-#: In-memory launch-result memo: a test session or experiment sweep
-#: re-simulates the same (launch, GPU) pair many times — solo baselines
-#: inside every co-run policy, repeated fusion-search probes, model
-#: training — and launches are frozen value objects whose results are
-#: never mutated, so identical launches can share one result.  Keys are
-#: the GPU's repr plus the launch's value digest (the signature the
-#: oracle's persistent store keys by).  Bypassed under auditing so the
-#: sampled fastpath-vs-engine differential always sees live simulations.
-_RESULT_MEMO: OrderedDict[tuple[str, str], LaunchResult] = OrderedDict()
-_RESULT_MEMO_CAP = 4096
-
-
-def clear_result_memo() -> None:
-    """Drop all memoized launch results (for tests and benchmarks)."""
-    _RESULT_MEMO.clear()
-
-
 def simulate_launch(launch: KernelLaunch, gpu: GPUConfig) -> LaunchResult:
     """Simulate one kernel on the GPU; returns its duration and traces.
 
-    Results are memoized per (launch, GPU) value — see the memo note
-    above; the returned object is shared, and consumers treat it as
-    immutable.
+    The resident block set is simulated at most once per process (see
+    the memo note above); the returned result may share its timelines
+    and dicts with other launches', and consumers treat it as immutable.
     """
-    if audit.active():
-        return _simulate_launch(launch, gpu)
-    key = (repr(gpu), launch.signature)
-    hit = _RESULT_MEMO.get(key)
-    if hit is not None:
-        _RESULT_MEMO.move_to_end(key)
-        return hit
-    result = _simulate_launch(launch, gpu)
-    _RESULT_MEMO[key] = result
-    if len(_RESULT_MEMO) > _RESULT_MEMO_CAP:
-        _RESULT_MEMO.popitem(last=False)
-    return result
-
-
-def _simulate_launch(launch: KernelLaunch, gpu: GPUConfig) -> LaunchResult:
     occupancy = blocks_per_sm(launch.resources, gpu.sm)
 
     if launch.grid_blocks == 0:
@@ -323,8 +329,7 @@ def _simulate_launch(launch: KernelLaunch, gpu: GPUConfig) -> LaunchResult:
         blocks = _persistent_blocks(launch, gpu, per_sm)
         if audit.active():
             _audit_occupancy(launch, gpu, blocks)
-        blocks, factor = _cap_iterations(blocks)
-        result = _scale_result(run_blocks(gpu, blocks), factor)
+        result = _simulate_blocks(gpu, blocks)
         return LaunchResult(launch.name, result.finish_time, result, waves=1)
 
     per_sm_blocks = -(-launch.grid_blocks // gpu.num_sms)
@@ -337,8 +342,7 @@ def _simulate_launch(launch: KernelLaunch, gpu: GPUConfig) -> LaunchResult:
         ]
         if audit.active():
             _audit_occupancy(launch, gpu, blocks)
-        blocks, factor = _cap_iterations(blocks)
-        result = _scale_result(run_blocks(gpu, blocks), factor)
+        result = _simulate_blocks(gpu, blocks)
         return LaunchResult(launch.name, result.finish_time, result, waves=1)
 
     # Steady flow: blocks stream onto the SM as resident blocks retire,
@@ -349,8 +353,7 @@ def _simulate_launch(launch: KernelLaunch, gpu: GPUConfig) -> LaunchResult:
     ]
     if audit.active():
         _audit_occupancy(launch, gpu, full_wave)
-    full_wave, factor = _cap_iterations(full_wave)
-    wave_result = _scale_result(run_blocks(gpu, full_wave), factor)
+    wave_result = _simulate_blocks(gpu, full_wave)
     scale = launch.grid_blocks / (occupancy * gpu.num_sms)
     duration = wave_result.finish_time * scale
     # Present the final wave's timelines at the end of the launch window
@@ -467,8 +470,7 @@ def corun_concurrent(
     shrunken_b = replace(b, persistent_blocks_per_sm=share_b)
     blocks = _persistent_blocks(shrunken_a, gpu, share_a)
     blocks += _persistent_blocks(shrunken_b, gpu, share_b)
-    blocks, factor = _cap_iterations(blocks)
-    result = _scale_result(run_blocks(gpu, blocks), factor)
+    result = _simulate_blocks(gpu, blocks)
     finish_a = max(
         t for (i, _), t in result.group_finish.items() if i < share_a
     )

@@ -1,4 +1,4 @@
-"""Equivalence suite for the vectorized analytic fast path.
+"""Equivalence suite for the analytic fast path.
 
 The fast path now covers every block-set shape — plain, barriered,
 multi-group and fused alike; these tests prove it is a drop-in
@@ -9,6 +9,8 @@ analytic path mis-simulates.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import pytest
 
@@ -56,7 +58,11 @@ def _resident_blocks(ir, gpu, mult):
 
 def _fused_blocks(fused, gpu, tc_grid, cd_grid):
     """The resident block set of a fused co-run launch."""
-    launch = fused.launch(tc_grid, cd_grid)
+    return _persistent_resident(fused.launch(tc_grid, cd_grid), gpu)
+
+
+def _persistent_resident(launch, gpu):
+    """The resident block set of a PTB launch."""
     occupancy = blocks_per_sm(launch.resources, gpu.sm)
     per_sm = min(launch.persistent_blocks_per_sm, occupancy)
     blocks, _ = _cap_iterations(_persistent_blocks(launch, gpu, per_sm))
@@ -196,6 +202,65 @@ class TestWidenedShapes:
             assert fastpath.supported(blocks)
             _assert_equivalent(gpu, blocks)
             _assert_equivalent(v100, blocks)
+
+
+#: sha256 of every ``SMResult`` field of the fast path over the corpus of
+#: ``TestExactOutput``.  A change to the fast path that keeps this digest
+#: keeps every IEEE-754 operation and every tie-break of the event loop.
+EXACT_OUTPUT_SHA256 = (
+    "b8aae8d0466fcbf25e74d5910841c454bef9625c74433650e38d88d577f00d38"
+)
+
+
+class TestExactOutput:
+    """Pins the fast path's output bit for bit, not within a tolerance.
+
+    The equivalence tests above allow 1e-9 relative error, so a one-ulp
+    drift in the event loop would pass them; this digest would not.
+    ``Timeline.total()`` is left out on purpose: its ``sum`` is
+    compensated from Python 3.12 on, so it is not bit-stable across
+    interpreters, while the interval endpoints are.
+    """
+
+    @staticmethod
+    def _corpus(gpu, library):
+        sets = []
+        for ir in library:
+            for mult in (0.5, 1.0, 3.0):
+                sets.append(_resident_blocks(ir, gpu, mult))
+            occupancy = blocks_per_sm(ir.resources, gpu.sm)
+            for count in sorted({1, occupancy}):
+                ptb = transform(ir, gpu, persistent_blocks_per_sm=count)
+                sets.append(_persistent_resident(ptb.launch(), gpu))
+        for tc_name, cd_name in (("tgemm_l", "fft"), ("tgemm_m", "mriq"),
+                                 ("wmma_gemm", "sgemm"), ("tgemm_s", "lbm")):
+            tc = transform(library.get(tc_name), gpu, persistent_blocks_per_sm=1)
+            cd = transform(library.get(cd_name), gpu, persistent_blocks_per_sm=1)
+            for copies in ((1, 1), (2, 1), (1, 2)):
+                fused = flexible_fuse(tc, cd, gpu, *copies)
+                for tc_grid, cd_grid in ((512, 256), (96, 1024)):
+                    sets.append(_fused_blocks(fused, gpu, tc_grid, cd_grid))
+        sets += fastpath_reference_blocks().values()
+        return sets
+
+    def test_digest_of_every_result_field(self, gpu, library):
+        digest = hashlib.sha256()
+        corpus = self._corpus(gpu, library)
+        assert len(corpus) == 175
+        for blocks in corpus:
+            result = fastpath.run_blocks(
+                gpu.sm, gpu.bytes_per_cycle_per_sm, blocks
+            )
+            for field in (
+                result.finish_time,
+                result.pipe_slot_cycles,
+                result.group_finish,
+                result.bytes_served,
+                {name: timeline.intervals
+                 for name, timeline in result.pipe_timelines.items()},
+            ):
+                digest.update(repr(field).encode())
+        assert digest.hexdigest() == EXACT_OUTPUT_SHA256
 
 
 class TestProperties:
