@@ -32,11 +32,12 @@ prediction perturbation is installed (``models.perturb``, the
 fault-injection hook) the memo is bypassed, because the perturbation
 draws from its RNG on every prediction; the same holds for the LC
 kernel's price read off its query's plan and a BE head's, priced once
-per stream cursor (:meth:`SchedulerPolicy.predict_lc_ms`,
+per retired head (:meth:`SchedulerPolicy.predict_lc_ms`,
 :meth:`SchedulerPolicy.predict_head_ms`).  An :class:`Action` is a
-plain mutable record, cheap to build once per decision; the server
-reads it after ``decide`` returns, so a policy must not change an
-``Action`` it has returned.
+plain mutable slotted record, cheap to build once per decision (the
+per-launch sites build it positionally); the server reads it after
+``decide`` returns, so a policy must not change an ``Action`` it has
+returned.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ def scheduling_overhead_ms(n_fusion_pairs: int, fusion: bool = True) -> float:
     return STATIC_SCHEDULING_BASE_MS + FUSION_CHECK_MS_PER_PAIR * n_fusion_pairs
 
 
-@dataclass
 class Action:
     """One scheduling decision (not frozen: see the module docstring).
 
@@ -80,24 +80,42 @@ class Action:
     ``"spatial"`` (the LC kernel and the BE head sharing the GPU on a
     fixed SM partition, described by ``corun``), or ``"chain"`` (a
     fused pair extended with extra CD ``riders`` packed into the same
-    launch).
+    launch).  ``predicted_*_ms`` are the predicted durations backing
+    the decision, for bookkeeping; ``be_app2`` is the second BE stream
+    of an ``"hfused"`` launch; ``corun`` is the profiled co-run recipe
+    of ``"spatial"``/``"hfused"`` launches: (oracle corun policy,
+    launch_a, launch_b, sorted param items).
     """
 
-    kind: str
-    query: Optional[Query] = None
-    be_app: Optional[BEApplication] = None
-    fused: Optional[FusedKernel] = None
-    #: predicted durations backing the decision (ms), for bookkeeping
-    predicted_lc_ms: float = 0.0
-    predicted_be_ms: float = 0.0
-    predicted_fused_ms: float = 0.0
-    #: second BE stream of an "hfused" launch
-    be_app2: Optional[BEApplication] = None
-    #: extra BE streams whose heads ride a "chain" launch's CD pipe
-    riders: tuple = ()
-    #: profiled co-run recipe of "spatial"/"hfused" launches:
-    #: (oracle corun policy, launch_a, launch_b, sorted param items)
-    corun: Optional[tuple] = None
+    __slots__ = (
+        "kind", "query", "be_app", "fused", "predicted_lc_ms",
+        "predicted_be_ms", "predicted_fused_ms", "be_app2", "riders",
+        "corun",
+    )
+
+    def __init__(
+        self,
+        kind: str,
+        query: Optional[Query] = None,
+        be_app: Optional[BEApplication] = None,
+        fused: Optional[FusedKernel] = None,
+        predicted_lc_ms: float = 0.0,
+        predicted_be_ms: float = 0.0,
+        predicted_fused_ms: float = 0.0,
+        be_app2: Optional[BEApplication] = None,
+        riders: tuple = (),
+        corun: Optional[tuple] = None,
+    ):
+        self.kind = kind
+        self.query = query
+        self.be_app = be_app
+        self.fused = fused
+        self.predicted_lc_ms = predicted_lc_ms
+        self.predicted_be_ms = predicted_be_ms
+        self.predicted_fused_ms = predicted_fused_ms
+        self.be_app2 = be_app2
+        self.riders = riders
+        self.corun = corun
 
 
 # -- mispredict detection and graceful degradation ---------------------------
@@ -329,16 +347,17 @@ class SchedulerPolicy:
 
     def predict_head_ms(self, app: BEApplication) -> float:
         """:meth:`predict_ms` of a BE stream's head kernel, priced once
-        per stream cursor, policy and model version."""
+        per retired head, policy and model version (the stream clears
+        ``head_price`` when it retires its head)."""
         models = self.models
         if models.perturb is not None:
             return self.predict_ms(app.head)
         priced = app.head_price
-        if (priced is not None and priced[0] == app.cursor
-                and priced[1] is self and priced[2] == models.version):
-            return priced[3]
+        if (priced is not None and priced[0] is self
+                and priced[1] == models.version):
+            return priced[2]
         ms = self.predict_ms(app.head)
-        app.head_price = (app.cursor, self, models.version, ms)
+        app.head_price = (self, models.version, ms)
         return ms
 
     def predict_fused_ms(
@@ -441,8 +460,11 @@ class SchedulerPolicy:
                 headroom, reserved = self.headroom.reservation(
                     now_ms, active, entries
                 )
-                margin = 0.0 if guard is None else guard.margin_ms(reserved)
-                thr = headroom - margin
+                if guard is None:
+                    margin, thr = 0.0, headroom
+                else:
+                    margin = guard.margin_ms(reserved)
+                    thr = headroom - margin
                 if session is not None:
                     log = []
                     reservation = ReservationRecord(
@@ -539,12 +561,8 @@ class SchedulerPolicy:
                 if be_ms < thr_ms:
                     self._rr += 1
                     self._reordered_at = position
-                    return Action(
-                        kind="be", be_app=app, predicted_be_ms=be_ms
-                    )
-        return Action(
-            kind="lc", query=query, predicted_lc_ms=self.predict_lc_ms(query)
-        )
+                    return Action("be", None, app, None, 0.0, be_ms)
+        return Action("lc", query, None, None, self.predict_lc_ms(query))
 
     def _pure_be(
         self, be_apps: Sequence[BEApplication]
@@ -558,6 +576,4 @@ class SchedulerPolicy:
             return None
         app = be_apps[self._rr % len(be_apps)]
         self._rr += 1
-        return Action(
-            kind="be", be_app=app, predicted_be_ms=self.predict_head_ms(app)
-        )
+        return Action("be", None, app, None, 0.0, self.predict_head_ms(app))

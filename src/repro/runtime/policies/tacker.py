@@ -119,8 +119,10 @@ class TackerPolicy(SchedulerPolicy):
         self.enable_reorder = enable_reorder
         #: (LC kernel, grid, BE kernel, grid, BE fusable) -> Quote
         self._quotes: dict[tuple, Quote] = {}
+        #: (quote key, BE app name, admissible) -> the logged candidate
+        self._candidates: dict[tuple, FusionCandidate] = {}
         self._cost_cache: dict[tuple, float] = {}
-        self._tables += [self._quotes, self._cost_cache]
+        self._tables += [self._quotes, self._candidates, self._cost_cache]
         #: identity-keyed memo of the BE-app name tuple — the server
         #: passes the same sequence object on every decision
         self._be_names_cache: Optional[tuple] = None
@@ -164,10 +166,12 @@ class TackerPolicy(SchedulerPolicy):
         fixed for a policy's life), bypassed under a prediction
         perturbation.  When ``log`` is given (telemetry on), every
         evaluation — including rejected ones, with the reason — is
-        appended to it.
+        appended to it, as one shared candidate per (quote, BE app,
+        admissible) from a table of the same model version.
         """
         be = app.head
         models = self.models
+        key = None
         if models.perturb is not None:
             quote = self._price(lc_instance, be)
         else:
@@ -182,7 +186,16 @@ class TackerPolicy(SchedulerPolicy):
                 quote = self._quotes[key] = self._price(lc_instance, be)
         admissible = quote.beats_sequential and quote.extra_lc_ms < thr_ms
         if log is not None:
-            log.append(quote.candidate(app.name, admissible))
+            if key is None:
+                candidate = quote.candidate(app.name, admissible)
+            else:
+                key = (key, app.name, admissible)
+                candidate = self._candidates.get(key)
+                if candidate is None:
+                    candidate = self._candidates[key] = quote.candidate(
+                        app.name, admissible
+                    )
+            log.append(candidate)
         return quote if admissible else None
 
     def _fused_action(

@@ -170,6 +170,11 @@ class BEApplication:
     deterministically from ``input_scales``.  The scales are quantized
     so launch shapes repeat and stay memoizable.
 
+    ``head`` is built once per retire: ``sequence[cursor % n]`` with its
+    grid scaled by ``_scale_at(cursor)`` (the base instance itself at
+    scale 1.0).  Scaled instances are shared per (sequence position,
+    scale), so a stream builds at most one per input scale and position.
+
     ``completed_work_ms`` accumulates the *solo* duration of every
     completed kernel — the progress metric behind Eq. 10's throughput
     comparison (a fused completion contributes the same work as a solo
@@ -184,15 +189,16 @@ class BEApplication:
     cursor: int = 0
     completed_kernels: int = field(default=0)
     completed_work_ms: float = field(default=0.0)
-    #: (cursor, instance) memo — ``head`` is consulted many times per
-    #: scheduling step and the input-scale digest is pure in the cursor
-    _head_cache: Optional[tuple] = field(
-        default=None, repr=False, compare=False
-    )
-    #: (cursor, policy, model version, predicted ms) of the head, set
-    #: by ``SchedulerPolicy.predict_head_ms``
+    #: the next kernel the stream wants to run (input-scaled)
+    head: KernelInstance = field(init=False, repr=False, compare=False)
+    #: (policy, model version, predicted ms) of ``head``, set by
+    #: ``SchedulerPolicy.predict_head_ms`` and cleared on retire
     head_price: Optional[tuple] = field(
         default=None, repr=False, compare=False
+    )
+    #: (sequence position, scale) -> scaled instance
+    _scaled: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -200,6 +206,7 @@ class BEApplication:
             raise SchedulingError(f"BE app {self.name} has no kernels")
         if not self.input_scales:
             raise SchedulingError(f"BE app {self.name} has no input scales")
+        self.head = self._head_at(self.cursor)
 
     def _scale_at(self, cursor: int) -> float:
         digest = hashlib.sha256(
@@ -209,27 +216,24 @@ class BEApplication:
             int.from_bytes(digest[:4], "big") % len(self.input_scales)
         ]
 
-    @property
-    def head(self) -> KernelInstance:
-        """The next kernel the stream wants to run (input-scaled)."""
-        cached = self._head_cache
-        if cached is not None and cached[0] == self.cursor:
-            return cached[1]
-        base = self.sequence[self.cursor % len(self.sequence)]
-        scale = self._scale_at(self.cursor)
+    def _head_at(self, cursor: int) -> KernelInstance:
+        position = cursor % len(self.sequence)
+        scale = self._scale_at(cursor)
         if scale == 1.0:
-            instance = base
-        else:
-            instance = KernelInstance(
-                kernel=base.kernel,
-                grid=max(1, round(base.grid * scale)),
-                fusable=base.fusable,
+            return self.sequence[position]
+        instance = self._scaled.get((position, scale))
+        if instance is None:
+            base = self.sequence[position]
+            instance = self._scaled[position, scale] = KernelInstance(
+                base.kernel, max(1, round(base.grid * scale)), base.fusable
             )
-        self._head_cache = (self.cursor, instance)
         return instance
 
     def complete_head(self, solo_work_ms: float) -> None:
-        """Retire the head kernel, crediting its solo-duration work."""
+        """Retire the head kernel, crediting its solo-duration work, and
+        build the next one."""
         self.cursor += 1
         self.completed_kernels += 1
         self.completed_work_ms += solo_work_ms
+        self.head = self._head_at(self.cursor)
+        self.head_price = None

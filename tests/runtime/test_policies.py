@@ -4,6 +4,7 @@ import pytest
 
 from repro.models.zoo import model_by_name
 from repro.runtime.policies import (
+    Action,
     BaymaxPolicy,
     TackerPolicy,
     scheduling_overhead_ms,
@@ -44,6 +45,34 @@ class TestSchedulingOverhead:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             scheduling_overhead_ms(-1)
+
+
+class TestAction:
+    FIELDS = (
+        "kind", "query", "be_app", "fused", "predicted_lc_ms",
+        "predicted_be_ms", "predicted_fused_ms", "be_app2", "riders",
+        "corun",
+    )
+
+    def test_slotted_record(self, system):
+        action = Action("be", be_app=be_fft(system))
+        assert not hasattr(action, "__dict__")
+        with pytest.raises(AttributeError):
+            action.note = "no such field"
+
+    def test_positional_equals_keyword(self, system):
+        query, app = lc_query(system), be_fft(system)
+        values = ("chain", query, app, None, 1.0, 2.0, 3.0, app, (app,),
+                  ("concurrent", None, None, ()))
+        positional = Action(*values)
+        keyword = Action(**dict(zip(self.FIELDS, values)))
+        for name, value in zip(self.FIELDS, values):
+            assert getattr(positional, name) is value
+            assert getattr(keyword, name) is value
+        defaults = Action("lc")
+        assert [getattr(defaults, name) for name in self.FIELDS] == [
+            "lc", None, None, None, 0.0, 0.0, 0.0, None, (), None,
+        ]
 
 
 class TestBaymaxPolicy:

@@ -23,6 +23,7 @@ from repro.runtime.query import BEApplication, KernelInstance, Query
 from repro.runtime.replay import load_scenario, serve_trace, synthesize_trace
 from repro.runtime.system import TackerSystem
 from repro.runtime.workload import be_application
+from repro.telemetry import RunTelemetry
 
 N_QUERIES = 60
 
@@ -193,3 +194,46 @@ class TestModelChangeReprices:
         after = decide_fused(policy, system)
         assert quote(after) == quote(decide_fused(fresh_policy, system))
         assert quote(after) != quote(before)
+
+
+class TestSharedCandidates:
+    """The decision log shares one candidate per Eq. 8 evaluation."""
+
+    def logged(self, policy, system):
+        """The candidate of one logged fused decision."""
+        session = policy.telemetry = RunTelemetry(policy=policy.policy_name)
+        try:
+            decide_fused(policy, system)
+        finally:
+            policy.telemetry = None
+        (record,) = session.decisions
+        (candidate,) = record.candidates
+        assert record.chosen_candidate() is candidate
+        return candidate
+
+    def test_same_evaluation_same_candidate(self, gpu, system):
+        policy = TackerPolicy(gpu, system.models, 50.0, system.artifacts)
+        first = self.logged(policy, system)
+        assert self.logged(policy, system) is first
+        action = decide_fused(policy, system)
+        # a refit advances the model version: a new candidate, re-priced
+        system.models.observe_fused(
+            action.fused,
+            gpu.ms_to_cycles(action.predicted_lc_ms),
+            gpu.ms_to_cycles(action.predicted_be_ms),
+            1.2 * gpu.ms_to_cycles(action.predicted_fused_ms),
+        )
+        refit = self.logged(policy, system)
+        assert refit is not first
+        assert refit.tk_fuse_ms > first.tk_fuse_ms
+        assert self.logged(policy, system) is refit
+
+    def test_perturbed_evaluations_log_fresh_candidates(self, gpu, system):
+        policy = TackerPolicy(gpu, system.models, 50.0, system.artifacts)
+        system.models.perturb = _identity
+        try:
+            first = self.logged(policy, system)
+            again = self.logged(policy, system)
+        finally:
+            system.models.perturb = None
+        assert again == first and again is not first

@@ -1,11 +1,30 @@
 """Tests for queries and BE streams."""
 
+import hashlib
+from collections import Counter
+
 import pytest
 
 from repro.errors import SchedulingError
 from repro.kernels.parboil import fft, mriq
 from repro.models.zoo import model_by_name
+from repro.runtime.faults import FaultInjector, FaultPlan
+from repro.runtime.policies import BaymaxPolicy
 from repro.runtime.query import BEApplication, KernelInstance, Query
+from repro.runtime.server import ColocationServer
+from repro.runtime.system import TackerSystem
+from repro.runtime.workload import BE_INPUT_SCALES, be_application
+
+#: The first 64 input scales of five BE streams, as indices into
+#: ``BE_INPUT_SCALES``.  sha256 and integer arithmetic draw the same
+#: values on every Python version, so these literals pin the draw.
+FIRST_SCALES = {
+    "sgemm": "3231333032401401212433112244440232240014231034424212413233301334",
+    "mriq": "1212414102121441311202433203404220331131111331001214034213043314",
+    "lbm": "2300314444241141344342121432421113003030211340440434200103031143",
+    "fft": "2310444024323343321401232324303200300340234123323142210000210411",
+    "Res-T": "3143412310200401322130032314411341223304233200434112411041402044",
+}
 
 
 def instances():
@@ -100,3 +119,77 @@ class TestBEApplication:
             BEApplication("empty", ())
         with pytest.raises(SchedulingError):
             BEApplication("x", (KernelInstance(fft(), 1),), input_scales=())
+
+
+class TestBEStreamContract:
+    """The head is built once per retire, as the docstring derives it."""
+
+    def test_scales_are_pinned(self, library):
+        assert BE_INPUT_SCALES == (0.5, 0.75, 1.0, 1.25, 1.5)
+        for name, indices in FIRST_SCALES.items():
+            app = be_application(name, library)
+            assert [app._scale_at(cursor) for cursor in range(64)] == [
+                BE_INPUT_SCALES[int(index)] for index in indices
+            ], name
+
+    @pytest.mark.parametrize("name", ("fft", "Res-T"))
+    def test_head_follows_the_derivation_and_is_shared(self, library, name):
+        app = be_application(name, library)
+        n = len(app.sequence)
+        shared = {}
+        for cursor in range(2000):
+            assert app.cursor == cursor
+            digest = hashlib.sha256(
+                f"be-input:{app.name}:{cursor}".encode()
+            ).digest()
+            scale = BE_INPUT_SCALES[
+                int.from_bytes(digest[:4], "big") % len(BE_INPUT_SCALES)
+            ]
+            base = app.sequence[cursor % n]
+            head = app.head
+            if scale == 1.0:
+                assert head is base
+            else:
+                assert head == KernelInstance(
+                    base.kernel, max(1, round(base.grid * scale)),
+                    base.fusable,
+                )
+                assert shared.setdefault((cursor % n, scale), head) is head
+            app.complete_head(0.0)
+        assert cursor >= n  # the stream wrapped around its sequence
+        per_position = Counter(position for position, _ in shared)
+        assert max(per_position.values()) <= len(BE_INPUT_SCALES) - 1
+
+    def test_retire_clears_the_head_price(self):
+        app = BEApplication(
+            "fft", (KernelInstance(fft(), 1000),),
+            input_scales=BE_INPUT_SCALES,
+        )
+        app.head_price = ("policy", 0, 1.0)
+        app.complete_head(0.5)
+        assert app.head_price is None
+
+    def test_dropped_launches_keep_the_head_and_its_price(self, gpu):
+        system = TackerSystem(gpu=gpu)
+        policy = BaymaxPolicy(system.gpu, system.models, 50.0)
+        server = ColocationServer(
+            system.gpu, oracle=system.oracle, policy=policy,
+            faults=FaultInjector(FaultPlan(be_drop=1.0)),
+        )
+        app = be_application("mriq", system.library)
+        head = app.head
+        assert head is not app.sequence[0]  # cursor 0 scales mriq's grid
+        tgemm = system.library.get("tgemm_l")
+        kernels = (KernelInstance(tgemm, tgemm.default_grid),) * 3
+        queries = [
+            Query(model_by_name("resnet50"), i * 100.0, kernels)
+            for i in range(3)
+        ]
+        price = policy.predict_head_ms(app)
+        priced = app.head_price
+        assert priced == (policy, system.models.version, price)
+        result = server.serve(queries, [app])
+        assert result.n_dropped_be == result.n_be_kernels > 0
+        assert app.cursor == app.completed_kernels == 0
+        assert app.head is head
+        assert app.head_price is priced

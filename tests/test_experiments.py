@@ -22,7 +22,9 @@ from repro.experiments import (
     tab03_cudnn,
     tab_overhead,
 )
+from repro.errors import SchedulingError
 from repro.experiments.common import format_table, geometric_spacing
+from repro.runtime.policies import Action
 
 
 class TestCommonHelpers:
@@ -72,6 +74,21 @@ class TestMicroExperiments:
         result = tab_overhead.run()
         assert result.modeled_scheduling_ms > result.modeled_static_ms
         assert result.measured_tacker_decision_us > 0
+        assert result.measured_baymax_decision_us > 0
+
+    def test_overhead_times_only_the_named_kind(self):
+        class PacedOut:
+            """Reorders, then takes the LC exit, as Baymax does when
+            asked again about a kernel it already reordered before."""
+
+            def __init__(self):
+                self.kinds = iter(["be", "be", "lc"])
+
+            def decide(self, now_ms, active, be_apps):
+                return Action(next(self.kinds))
+
+        with pytest.raises(SchedulingError):
+            tab_overhead._measure_decision_us(PacedOut(), [[]] * 3, [], "be")
 
 
 class TestPredictionExperiments:
